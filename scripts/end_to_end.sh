@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full CLI pipeline on a small synthetic task: generate data, train a base
-# model and a conditioned second generation, then run every analysis command.
+# model and a chain of two conditioned generations, then run every analysis
+# command.
 set -eu
 
 OUT="${1:-results/end_to_end}"
@@ -27,15 +28,21 @@ sed -e 's/train.seed = 1/train.seed = 2/' "$OUT/task.cfg" > "$OUT/member1.cfg"
   echo "arch.conditioning = adon"
   echo "arch.adon_placements = early,middle"
 } > "$OUT/gen1.cfg"
+sed -e 's/train.seed = 3/train.seed = 4/' "$OUT/gen1.cfg" > "$OUT/gen2.cfg"
 
 seqens gen-data --spec "$OUT/task.cfg" --out "$OUT/data"
 seqens train --config "$OUT/task.cfg"    --data "$OUT/data" --out "$OUT/g0"
 seqens train --config "$OUT/member1.cfg" --data "$OUT/data" --out "$OUT/m1"
 seqens train --config "$OUT/gen1.cfg"    --data "$OUT/data" --out "$OUT/g1" \
   --condition "$OUT/g0/generation.ckpt"
+# repeated --condition flags are the ordered chain prefix: G2 is conditioned on G0 -> G1
+seqens train --config "$OUT/gen2.cfg"    --data "$OUT/data" --out "$OUT/g2" \
+  --condition "$OUT/g0/generation.ckpt" --condition "$OUT/g1/generation.ckpt"
 
 seqens eval --ckpt "$OUT/g0/generation.ckpt" --ckpt "$OUT/m1/generation.ckpt" \
   --data "$OUT/data" --report "$OUT/eval_members.csv"
+seqens eval --chain --ckpt "$OUT/g0/generation.ckpt" --ckpt "$OUT/g1/generation.ckpt" \
+  --ckpt "$OUT/g2/generation.ckpt" --data "$OUT/data" --report "$OUT/eval_chain.csv"
 seqens ensemble --mode sim --ckpt "$OUT/g0/generation.ckpt" \
   --ckpt "$OUT/m1/generation.ckpt" --data "$OUT/data" \
   --report "$OUT/sim_uniform.csv"

@@ -18,11 +18,9 @@ from .analysis import (
 )
 from .calibration import CalibrationConfig, temperature_scale, temperature_sweep
 from .data import (
-    Checkpoint,
     FormatError,
     SpecError,
     checkpoint_from_generation,
-    generate_dataset,
     generation_from_checkpoint,
     load_checkpoint,
     load_split,
@@ -30,8 +28,8 @@ from .data import (
     write_manifest,
     write_sample,
 )
-from .ensembling import Chain, CombineStrategy, chain_predict, combine
-from .nets import predict
+from .ensembling import Chain, CombineStrategy, chain_predict, chain_provider, combine
+from .nets import build_generation, predict
 from .training import train_generation
 
 
@@ -46,16 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
 def fmt(x: float) -> str:
     return f"{x:.6f}"
-
-
-def worker_count() -> int:
-    raw = os.environ.get("SEQENS_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise UsageError(f"SEQENS_THREADS must be an integer, got {raw!r}")
-    return 1
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -130,11 +118,6 @@ def _load_generations(paths: list[str]):
     return [generation_from_checkpoint(load_checkpoint(p)) for p in paths]
 
 
-def _chain_final_probs(gens, images, self_loops=0):
-    chain = Chain(list(gens), self_loops=self_loops)
-    return chain_predict(chain, images)[-1].probs
-
-
 def _batched_probs(probs_fn, dataset, batch_size=16):
     out = []
     for start in range(0, len(dataset), batch_size):
@@ -150,27 +133,18 @@ def cmd_train(args) -> int:
     train = load_split(args.data, "train")
     val = load_split(args.data, "val")
 
-    conditions = _load_generations(args.condition or [])
-    index = 1 if arch.conditioning not in ("none", "fixed_embedding") else 0
-    from .nets import build_generation
-
-    g = build_generation(arch, seed=tcfg.seed, index=index)
+    # repeated --condition flags are the ordered chain prefix G0..G(k-1); this is G(k)
+    conditions = _load_generations(args.condition)
     provider = None
     if arch.conditioning in ("adon", "early_fusion", "late_fusion"):
         if not conditions:
             raise UsageError("conditioned training needs at least one --condition checkpoint")
-        if len(conditions) == 1:
-            provider = lambda images: predict(conditions[0], images).probs
-        else:
-            rng = np.random.Generator(np.random.Philox(key=np.uint64(tcfg.seed)))
-            provider = lambda images: predict(
-                conditions[int(rng.integers(0, len(conditions)))], images
-            ).probs
+        provider = chain_provider(conditions)
     elif conditions:
         raise UsageError("--condition given but this architecture takes no conditioning")
 
+    g = build_generation(arch, seed=tcfg.seed, index=len(conditions))
     history = train_generation(g, train, val, tcfg, provider)
-    g.seed = tcfg.seed
 
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "generation.ckpt"), checkpoint_from_generation(g))
@@ -194,9 +168,7 @@ def cmd_eval(args) -> int:
     run_id = _run_id(",".join(args.ckpt))
     rows = []
     if args.chain:
-        probs = _batched_probs(
-            lambda im: _chain_final_probs(gens, im, self_loops=args.self_loops), val
-        )
+        probs = _batched_probs(chain_provider(gens, args.self_loops), val)
         labels = [np.argmax(p, axis=0) for p in probs]
         report = segmentation_metrics(labels, gts, num_classes, args.ignore_label)
         rows.append(
@@ -224,20 +196,16 @@ def cmd_ensemble(args) -> int:
     strategy = CombineStrategy(args.strategy)
     run_id = _run_id(args.mode + "," + ",".join(args.ckpt))
     if args.mode == "seq":
-        probs = _batched_probs(
-            lambda im: _chain_final_probs(gens, im, self_loops=args.self_loops), val
-        )
+        probs = _batched_probs(chain_provider(gens, args.self_loops), val)
     else:
+        # at T = 1 this equals predict().probs bit for bit: scaling by 1.0 is exact
         member_probs = [
-            _batched_probs(lambda im, g=g: predict(g, im).probs, val) for g in gens
+            [
+                temperature_scale(l[None], args.temperature)[0]
+                for l in _batched_probs(lambda im, g=g: predict(g, im).logits, val)
+            ]
+            for g in gens
         ]
-        if args.temperature != 1.0:
-            member_probs = []
-            for g in gens:
-                logits = _batched_probs(lambda im, g=g: predict(g, im).logits, val)
-                member_probs.append(
-                    [temperature_scale(l[None], args.temperature)[0] for l in logits]
-                )
         probs = [
             combine([mp[i][None] for mp in member_probs], strategy)[0]
             for i in range(len(val))
@@ -274,12 +242,10 @@ def cmd_calibrate(args) -> int:
     grid = tuple(sorted(float(t) for t in args.grid.split(",")))
     cfg = CalibrationConfig(num_bins=args.bins, temperature_grid=grid)
 
+    chain = Chain(gens)  # one checkpoint is a chain of one
+
     def logit_source(dataset):
-        if len(gens) == 1:
-            return _batched_probs(lambda im: predict(gens[0], im).logits, dataset)
-        return _batched_probs(
-            lambda im: chain_predict(Chain(list(gens)), im)[-1].logits, dataset
-        )
+        return _batched_probs(lambda im: chain_predict(chain, im)[-1].logits, dataset)
 
     report = temperature_sweep(logit_source, val, cfg, args.ignore_label)
     header, rows = _calibration_rows(report, cfg.num_bins)
@@ -311,7 +277,7 @@ def cmd_fourcase(args) -> int:
     if g1.config.conditioning in ("none", "fixed_embedding"):
         p1 = _batched_probs(lambda im: predict(g1, im).probs, val)
     else:
-        p1 = _batched_probs(lambda im: _chain_final_probs([g0, g1], im), val)
+        p1 = _batched_probs(chain_provider([g0, g1]), val)
     l0 = [np.argmax(p, axis=0) for p in p0]
     l1 = [np.argmax(p, axis=0) for p in p1]
     table = four_case_table(l0, l1, gts, args.ignore_label)

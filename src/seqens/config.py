@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .data import DatasetSpec
 from .nets import BackboneConfig
 from .training import AugmentConfig, TrainConfig
@@ -44,13 +42,6 @@ _KNOWN_KEYS = {
     "train.crop_h": int,
     "train.crop_w": int,
     "train.ignore_label": int,
-    "ensemble.n": int,
-    "ensemble.mode": str,
-    "ensemble.strategy": str,
-    "ensemble.self_loops": int,
-    "ensemble.forest_size": int,
-    "calibration.num_bins": int,
-    "calibration.grid": str,
 }
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
-
 SHAPE_KINDS = ("rectangle", "disk", "triangle")
 CHECKPOINT_MAGIC = b"SQEN"
 CHECKPOINT_VERSION = 1
@@ -367,8 +365,6 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def checkpoint_from_generation(g) -> Checkpoint:
-    from .nets import BackboneConfig  # local import to avoid a cycle
-
     cfg = g.config
     meta = {
         "arch.in_channels": str(cfg.in_channels),
@@ -379,7 +375,7 @@ def checkpoint_from_generation(g) -> Checkpoint:
         "arch.embed_hw": f"{cfg.embed_hw[0]},{cfg.embed_hw[1]}",
         "generation_index": str(g.generation_index),
         "conditioning": cfg.conditioning,
-        "seed": str(getattr(g, "seed", 0)),
+        "seed": str(g.seed),
     }
     tensors = {name: t.data for name, t in sorted(g.parameters.items())}
     return Checkpoint(tensors=tensors, metadata=meta)
@@ -389,18 +385,22 @@ def generation_from_checkpoint(ckpt: Checkpoint):
     from .nets import BackboneConfig, build_generation
 
     m = ckpt.metadata
-    placements = tuple(p for p in m.get("arch.adon_placements", "").split(",") if p)
-    eh, ew = (int(v) for v in m.get("arch.embed_hw", "64,64").split(","))
-    cfg = BackboneConfig(
-        in_channels=int(m["arch.in_channels"]),
-        num_classes=int(m["arch.num_classes"]),
-        layer_channels=tuple(int(c) for c in m["arch.layer_channels"].split(",")),
-        adon_latent=int(m["arch.adon_latent"]),
-        adon_placements=placements,
-        conditioning=m["conditioning"],
-        embed_hw=(eh, ew),
-    )
-    g = build_generation(cfg, seed=int(m.get("seed", "0")), index=int(m["generation_index"]))
+    try:
+        placements = tuple(p for p in m.get("arch.adon_placements", "").split(",") if p)
+        eh, ew = (int(v) for v in m.get("arch.embed_hw", "64,64").split(","))
+        cfg = BackboneConfig(
+            in_channels=int(m["arch.in_channels"]),
+            num_classes=int(m["arch.num_classes"]),
+            layer_channels=tuple(int(c) for c in m["arch.layer_channels"].split(",")),
+            adon_latent=int(m["arch.adon_latent"]),
+            adon_placements=placements,
+            conditioning=m["conditioning"],
+            embed_hw=(eh, ew),
+        )
+        g = build_generation(cfg, seed=int(m.get("seed", "0")), index=int(m["generation_index"]))
+    except (KeyError, ValueError) as e:
+        # the metadata lives in the `.meta` sidecar next to the checkpoint file
+        raise FormatError(f"checkpoint metadata missing or malformed: {e}") from e
     if set(ckpt.tensors) != set(g.parameters):
         missing = set(g.parameters) ^ set(ckpt.tensors)
         raise FormatError(f"checkpoint does not match architecture: {sorted(missing)}")

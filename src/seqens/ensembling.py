@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nets import Generation, PredictionBundle, build_generation, forward_logits, predict
+from .nets import Generation, PredictionBundle, build_generation, predict
 from .tensor import Tensor
 from . import tensor as T
 
@@ -27,6 +27,7 @@ class CombineStrategy:
 class Chain:
     generations: list[Generation]
     self_loops: int = 0
+    histories: list = field(default_factory=list)  # one TrainHistory per generation (train_chain)
 
     def __post_init__(self):
         if not self.generations:
@@ -108,12 +109,16 @@ def forest_predict(forest: Forest, image, strategy: CombineStrategy | None = Non
     return _bundle_from_probs(combine(finals, strategy))
 
 
-def chain_provider(prefix: list[Generation]):
-    """Closure running a frozen chain prefix; feeds the next generation's training."""
+def chain_provider(prefix: list[Generation], self_loops: int = 0):
+    """Map images to the final probability map of a frozen chain prefix.
+
+    This is the map that conditions the next generation. The chain is built
+    and validated here, once: later changes to `prefix` do not reach it.
+    """
+    chain = Chain(list(prefix), self_loops=self_loops)
 
     def provider(images: np.ndarray) -> np.ndarray:
-        bundles = chain_predict(Chain(list(prefix)), images)
-        return bundles[-1].probs
+        return chain_predict(chain, images)[-1].probs
 
     return provider
 
@@ -122,8 +127,7 @@ def train_chain(train, val, configs, archs, train_fn=None) -> Chain:
     """Train generations left to right, each conditioned on the frozen prefix.
 
     configs/archs: per-generation TrainConfig and BackboneConfig lists of
-    equal length. Returns the assembled chain; histories are attached as
-    `chain.histories`.
+    equal length. Returns the assembled chain with its training histories.
     """
     from .training import train_generation
 
@@ -134,12 +138,10 @@ def train_chain(train, val, configs, archs, train_fn=None) -> Chain:
     histories = []
     for i, (cfg, arch) in enumerate(zip(configs, archs)):
         g = build_generation(arch, seed=cfg.seed, index=i)
-        provider = chain_provider(list(generations)) if i > 0 else None
+        provider = chain_provider(generations) if i > 0 else None
         histories.append(train_fn(g, train, val, cfg, provider))
         generations.append(g)
-    chain = Chain(generations)
-    chain.histories = histories
-    return chain
+    return Chain(generations, histories=histories)
 
 
 def train_generalized(g0_pool: list[Generation], train, val, cfg, arch) -> Generation:

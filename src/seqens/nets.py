@@ -85,6 +85,7 @@ class Generation:
     adon_blocks: dict[str, AdonBlock] = field(default_factory=dict)
     fixed_embedding: Tensor | None = None
     generation_index: int = 0
+    seed: int = 0  # the initialization seed build_generation was given
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return sorted(self.parameters.items())
@@ -179,6 +180,7 @@ def build_generation(config: BackboneConfig, seed: int, index: int = 0) -> Gener
         adon_blocks=blocks,
         fixed_embedding=fixed_embedding,
         generation_index=index,
+        seed=seed,
     )
 
 

@@ -17,8 +17,9 @@ from .analysis import (
     segmentation_metrics,
 )
 from .calibration import CalibrationConfig, temperature_sweep
+from .cli import _batched_probs, _write_csv, fmt
 from .data import DatasetSpec, checkpoint_from_generation, generate_dataset
-from .ensembling import Chain, CombineStrategy, chain_predict, combine
+from .ensembling import Chain, CombineStrategy, chain_predict, chain_provider, combine
 from .nets import BackboneConfig, build_generation, predict
 from .training import TrainConfig, train_generation
 
@@ -51,30 +52,10 @@ def _train_g0(train, val, seed: int):
     return g
 
 
-def _eval_probs(fn, dataset, batch=16):
-    out = []
-    for start in range(0, len(dataset), batch):
-        images = np.stack([s.image for s in dataset[start : start + batch]])
-        out.extend(fn(images))
-    return out
-
-
 def _miou(probs_list, dataset, num_classes=4):
     labels = [np.argmax(p, axis=0) for p in probs_list]
     gts = [s.label for s in dataset]
     return segmentation_metrics(labels, gts, num_classes, 255).miou
-
-
-def _write(path, header, rows):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
 
 
 # ---------------------------------------------------------------------------
@@ -89,30 +70,29 @@ def recipe_seq_vs_sim(out_dir: str):
     chain_gens = [members[0]]
     for i, seed in enumerate(seeds[1:], start=1):
         g = build_generation(_arch("adon"), seed=seed, index=i)
-
-        def provider(images, prefix=list(chain_gens)):
-            return chain_predict(Chain(prefix), images)[-1].probs
-
-        train_generation(g, train, val, _train_cfg(seed), provider)
+        train_generation(g, train, val, _train_cfg(seed), chain_provider(chain_gens))
         chain_gens.append(g)
 
     rows = []
     member_probs = [
-        _eval_probs(lambda im, g=g: predict(g, im).probs, val) for g in members
+        _batched_probs(lambda im, g=g: predict(g, im).probs, val) for g in members
     ]
+    # one pass over G0..G3: a chain's reported prediction is its final
+    # generation's output map, so generation n-1's map is SEQ at N = n
+    chain = Chain(chain_gens)
+    chain_probs = _batched_probs(
+        lambda im: np.stack([b.probs for b in chain_predict(chain, im)], axis=1), val
+    )
     uniform = CombineStrategy("uniform")
     for n in range(1, 5):
         sim_probs = [
             combine([mp[i][None] for mp in member_probs[:n]], uniform)[0]
             for i in range(len(val))
         ]
-        rows.append(["sim", str(n), _fmt(_miou(sim_probs, val))])
-        # a chain's reported prediction is its final generation's output map
-        seq_probs = _eval_probs(
-            lambda im, k=n: chain_predict(Chain(chain_gens[:k]), im)[-1].probs, val
-        )
-        rows.append(["seq", str(n), _fmt(_miou(seq_probs, val))])
-    _write(os.path.join(out_dir, "seq_vs_sim.csv"), ["mode", "N", "miou"], rows)
+        rows.append(["sim", str(n), fmt(_miou(sim_probs, val))])
+        seq_probs = [p[n - 1] for p in chain_probs]
+        rows.append(["seq", str(n), fmt(_miou(seq_probs, val))])
+    _write_csv(os.path.join(out_dir, "seq_vs_sim.csv"), ["mode", "N", "miou"], rows)
 
 
 def recipe_ece_sweep(out_dir: str):
@@ -122,12 +102,12 @@ def recipe_ece_sweep(out_dir: str):
     cfg = CalibrationConfig(num_bins=10, temperature_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0))
 
     def logit_source(dataset):
-        return _eval_probs(lambda im: predict(g, im).logits, dataset)
+        return _batched_probs(lambda im: predict(g, im).logits, dataset)
 
     report = temperature_sweep(logit_source, val, cfg, ignore_label=255)
-    rows = [[_fmt(t), _fmt(e)] for t, e in report.per_temperature_ece]
-    rows.append([_fmt(report.best_temperature), "best"])
-    _write(os.path.join(out_dir, "ece_sweep.csv"), ["T", "ece"], rows)
+    rows = [[fmt(t), fmt(e)] for t, e in report.per_temperature_ece]
+    rows.append([fmt(report.best_temperature), "best"])
+    _write_csv(os.path.join(out_dir, "ece_sweep.csv"), ["T", "ece"], rows)
 
 
 def recipe_diversity_init(out_dir: str):
@@ -155,12 +135,12 @@ def recipe_diversity_init(out_dir: str):
         for i in range(len(members)):
             for j in range(len(members)):
                 rows.append(
-                    [name, str(i), str(j), _fmt(pred[i, j]), _fmt(param[i, j])]
+                    [name, str(i), str(j), fmt(pred[i, j]), fmt(param[i, j])]
                 )
         rows.append(
-            [name, "mean", "offdiag", _fmt(mean_offdiagonal(pred)), _fmt(mean_offdiagonal(param))]
+            [name, "mean", "offdiag", fmt(mean_offdiagonal(pred)), fmt(mean_offdiagonal(param))]
         )
-    _write(
+    _write_csv(
         os.path.join(out_dir, "diversity_init.csv"),
         ["init", "i", "j", "pred_cosine", "param_cosine"],
         rows,

@@ -202,11 +202,8 @@ def train_generation(
             history.step_loss.append(float(loss.data))
             step += 1
         if val:
-            provider = None
-            if condition_provider is not None:
-                provider = condition_provider
             history.epoch_val_miou.append(
-                evaluate_miou(g, val, provider, cfg.ignore_label)
+                evaluate_miou(g, val, condition_provider, cfg.ignore_label)
             )
     history.final_lr = lr
     return history

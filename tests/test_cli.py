@@ -253,3 +253,39 @@ def test_data_errors_exit_2(workspace, capsys, tmp_path):
         run(["eval", "--ckpt", str(truncated), "--data", workspace["data"], "--report", str(tmp_path / "r.csv")])
         == 2
     )
+
+    # a checkpoint copied without its .meta sidecar
+    bare = tmp_path / "bare.ckpt"
+    bare.write_bytes(open(workspace["g0"], "rb").read())
+    assert run(["eval", "--ckpt", str(bare), "--data", workspace["data"], "--report", str(tmp_path / "r.csv")]) == 2
+    assert "checkpoint metadata" in capsys.readouterr().err
+
+
+def test_repeated_condition_trains_the_next_generation_of_a_chain(workspace, tmp_path, capsys):
+    from seqens.config import backbone_config_from, load_config, train_config_from
+    from seqens.data import generation_from_checkpoint, load_checkpoint, load_split
+    from seqens.ensembling import chain_provider
+    from seqens.nets import build_generation, flatten_parameters
+    from seqens.training import train_generation
+
+    cfg_path = tmp_path / "g2.cfg"
+    cfg_path.write_text(ADON_CFG.replace("train.seed = 6", "train.seed = 8"))
+    out = str(tmp_path / "g2")
+    args = ["train", "--config", str(cfg_path), "--data", workspace["data"], "--out", out]
+    assert run(args + ["--condition", workspace["g0"], "--condition", workspace["g1"]]) == 0
+    ckpt = load_checkpoint(os.path.join(out, "generation.ckpt"))
+    assert ckpt.metadata["generation_index"] == "2"
+
+    cfg = load_config(str(cfg_path))
+    tcfg = train_config_from(cfg)
+    prefix = [generation_from_checkpoint(load_checkpoint(workspace[k])) for k in ("g0", "g1")]
+    g2 = build_generation(backbone_config_from(cfg), seed=tcfg.seed, index=2)
+    data = workspace["data"]
+    train_generation(g2, load_split(data, "train"), load_split(data, "val"), tcfg, chain_provider(prefix))
+    np.testing.assert_array_equal(
+        flatten_parameters(generation_from_checkpoint(ckpt)), flatten_parameters(g2)
+    )
+
+    # the prefix must start at an unconditioned head
+    assert run(args + ["--condition", workspace["g1"]]) == 2
+    assert "chain head" in capsys.readouterr().err

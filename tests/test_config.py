@@ -46,8 +46,9 @@ def test_parse_comments_and_values():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigFileError, match="unknown key"):
-        parse_config_text("data.bogus = 1")
+    for text in ("data.bogus = 1", "ensemble.n = 2"):
+        with pytest.raises(ConfigFileError, match="unknown key"):
+            parse_config_text(text)
 
 
 def test_duplicate_key_rejected():

@@ -262,8 +262,15 @@ def test_train_chain_reproducible():
 
 def test_chain_provider_runs_frozen_prefix():
     g0 = build_generation(SMALL, seed=5)
+    g1 = build_generation(SMALL_ADON, seed=6, index=1)
+    g1.parameters["adon_middle.fbias.weight"].data += 0.1  # break identity
     img = _image_batch(seed=6)
-    np.testing.assert_array_equal(chain_provider([g0])(img), predict(g0, img).probs)
+    prefix = [g0]
+    provider = chain_provider(prefix)
+    prefix.append(g1)  # the chain was fixed when the provider was made
+    np.testing.assert_array_equal(provider(img), predict(g0, img).probs)
+    with pytest.raises(ValueError, match="chain head"):
+        chain_provider([g1])
 
 
 def test_train_generalized_reproducible_and_validated():
