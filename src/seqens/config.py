@@ -118,7 +118,6 @@ def backbone_config_from(cfg: dict[str, str]) -> BackboneConfig:
         adon_latent=_get(cfg, "arch.adon_latent", 32),
         adon_placements=placements,
         conditioning=_get(cfg, "arch.conditioning", "none"),
-        embed_hw=(_get(cfg, "data.height", 64), _get(cfg, "data.width", 64)),
     )
 
 

@@ -372,7 +372,6 @@ def checkpoint_from_generation(g) -> Checkpoint:
         "arch.layer_channels": ",".join(str(c) for c in cfg.layer_channels),
         "arch.adon_latent": str(cfg.adon_latent),
         "arch.adon_placements": ",".join(cfg.adon_placements),
-        "arch.embed_hw": f"{cfg.embed_hw[0]},{cfg.embed_hw[1]}",
         "generation_index": str(g.generation_index),
         "conditioning": cfg.conditioning,
         "seed": str(g.seed),
@@ -387,7 +386,6 @@ def generation_from_checkpoint(ckpt: Checkpoint):
     m = ckpt.metadata
     try:
         placements = tuple(p for p in m.get("arch.adon_placements", "").split(",") if p)
-        eh, ew = (int(v) for v in m.get("arch.embed_hw", "64,64").split(","))
         cfg = BackboneConfig(
             in_channels=int(m["arch.in_channels"]),
             num_classes=int(m["arch.num_classes"]),
@@ -395,7 +393,6 @@ def generation_from_checkpoint(ckpt: Checkpoint):
             adon_latent=int(m["arch.adon_latent"]),
             adon_placements=placements,
             conditioning=m["conditioning"],
-            embed_hw=(eh, ew),
         )
         g = build_generation(cfg, seed=int(m.get("seed", "0")), index=int(m["generation_index"]))
     except (KeyError, ValueError) as e:

@@ -123,7 +123,7 @@ def chain_provider(prefix: list[Generation], self_loops: int = 0):
     return provider
 
 
-def train_chain(train, val, configs, archs, train_fn=None) -> Chain:
+def train_chain(train, val, configs, archs) -> Chain:
     """Train generations left to right, each conditioned on the frozen prefix.
 
     configs/archs: per-generation TrainConfig and BackboneConfig lists of
@@ -131,7 +131,6 @@ def train_chain(train, val, configs, archs, train_fn=None) -> Chain:
     """
     from .training import train_generation
 
-    train_fn = train_fn or train_generation
     if len(configs) != len(archs) or not configs:
         raise ValueError("need one (TrainConfig, BackboneConfig) pair per generation")
     generations: list[Generation] = []
@@ -139,7 +138,7 @@ def train_chain(train, val, configs, archs, train_fn=None) -> Chain:
     for i, (cfg, arch) in enumerate(zip(configs, archs)):
         g = build_generation(arch, seed=cfg.seed, index=i)
         provider = chain_provider(generations) if i > 0 else None
-        histories.append(train_fn(g, train, val, cfg, provider))
+        histories.append(train_generation(g, train, val, cfg, provider))
         generations.append(g)
     return Chain(generations, histories=histories)
 

@@ -33,8 +33,6 @@ class BackboneConfig:
     adon_latent: int = 32
     adon_placements: tuple[str, ...] = ()
     conditioning: str = "none"
-    # spatial size of the stored random embedding (fixed_embedding mode only)
-    embed_hw: tuple[int, int] = (64, 64)
 
     def __post_init__(self):
         if self.conditioning not in CONDITIONING_MODES:
@@ -165,13 +163,11 @@ def build_generation(config: BackboneConfig, seed: int, index: int = 0) -> Gener
 
     fixed_embedding = None
     if config.conditioning == "fixed_embedding":
-        h, w = config.embed_hw
         # one random class distribution broadcast over all pixels: the control
         # stays parameter-matched and uninformative without injecting
         # per-pixel noise through the conditioning pathway during training
-        vec = rng.uniform(0.0, 1.0, size=(ncls, 1, 1)).astype(np.float32)
-        vec /= vec.sum(axis=0, keepdims=True)
-        fixed_embedding = Tensor(np.broadcast_to(vec, (ncls, h, w)).copy())
+        vec = rng.uniform(0.0, 1.0, size=ncls).astype(np.float32)
+        fixed_embedding = Tensor(vec / vec.sum())
         params["fixed_embedding"] = fixed_embedding
 
     return Generation(
@@ -216,9 +212,7 @@ def forward_logits(
     cond: Tensor | None = None
     if mode == "fixed_embedding":
         emb = g.fixed_embedding.data
-        if emb.shape[1:] != (h, w):
-            raise T.ShapeError("fixed embedding resolution does not match the input")
-        cond = Tensor(np.broadcast_to(emb[None], (n,) + emb.shape).copy())
+        cond = Tensor(np.broadcast_to(emb[None, :, None, None], (n, emb.size, h, w)).copy())
     elif mode != "none":
         if p_prev is None:
             raise T.ShapeError(f"{mode} conditioning requires a probability map")

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ShapeError(ValueError):
@@ -54,12 +53,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g.astype(self.data.dtype, copy=False)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -280,57 +273,32 @@ def channel_softmax(logits: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # bilinear resize (half-pixel centers, clamped borders)
 
-_RESIZE_CACHE: dict[tuple[int, int, int, int], sp.csr_matrix] = {}
 
-
-def _resize_matrix(h: int, w: int, oh: int, ow: int) -> sp.csr_matrix:
-    key = (h, w, oh, ow)
-    mat = _RESIZE_CACHE.get(key)
-    if mat is not None:
-        return mat
-
-    def axis_weights(size, out_size):
-        src = (np.arange(out_size, dtype=np.float64) + 0.5) * (size / out_size) - 0.5
-        src = np.clip(src, 0.0, size - 1)
-        lo = np.floor(src).astype(np.int64)
-        hi = np.minimum(lo + 1, size - 1)
-        frac = src - lo
-        return lo, hi, frac
-
-    ylo, yhi, fy = axis_weights(h, oh)
-    xlo, xhi, fx = axis_weights(w, ow)
-    rows, cols, vals = [], [], []
-    out_idx = np.arange(oh * ow)
-    for ys, wy in ((ylo, 1.0 - fy), (yhi, fy)):
-        for xs, wx in ((xlo, 1.0 - fx), (xhi, fx)):
-            rows.append(out_idx)
-            cols.append((ys[:, None] * w + xs[None, :]).ravel())
-            vals.append((wy[:, None] * wx[None, :]).ravel())
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(oh * ow, h * w),
-    )
-    mat.sum_duplicates()
-    _RESIZE_CACHE[key] = mat
-    return mat
+def _interp_matrix(size: int, out_size: int, dtype) -> np.ndarray:
+    """Dense (out_size, size) bilinear weights along one axis."""
+    src = (np.arange(out_size, dtype=np.float64) + 0.5) * (size / out_size) - 0.5
+    src = np.clip(src, 0.0, size - 1)
+    lo = np.floor(src).astype(np.int64)
+    hi = np.minimum(lo + 1, size - 1)
+    frac = src - lo
+    mat = np.zeros((out_size, size), dtype=np.float64)
+    rows = np.arange(out_size)
+    np.add.at(mat, (rows, lo), 1.0 - frac)
+    np.add.at(mat, (rows, hi), frac)  # taps coincide at a clamped border
+    return mat.astype(dtype)
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ShapeError("bilinear_resize: target dims must be >= 1")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if (out_h, out_w) == (h, w):
         out = Tensor(x.data.copy())
         return _record(out, (x,), lambda g: (g,))
-    mat = _resize_matrix(h, w, out_h, out_w)
-    flat = x.data.reshape(n * c, h * w)
-    out = Tensor((flat @ mat.T.astype(x.dtype.type)).reshape(n, c, out_h, out_w).astype(x.dtype))
-
-    def bwd(g):
-        gflat = g.reshape(n * c, out_h * out_w)
-        return ((gflat @ mat.astype(x.dtype.type)).reshape(n, c, h, w).astype(x.dtype),)
-
-    return _record(out, (x,), bwd)
+    rh = _interp_matrix(h, out_h, x.dtype)
+    rw = _interp_matrix(w, out_w, x.dtype)
+    out = Tensor(rh @ x.data @ rw.T)
+    return _record(out, (x,), lambda g: (rh.T @ g @ rw,))
 
 
 def resize_nearest(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -376,10 +344,6 @@ def pixel_cross_entropy(p: Tensor, y: np.ndarray, ignore_label: int | None = Non
         return (gp,)
 
     return _record(out, (p,), bwd)
-
-
-def all_pixels_ignored(y: np.ndarray, ignore_label: int | None) -> bool:
-    return ignore_label is not None and bool(np.all(y == ignore_label))
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,6 @@ SMALL_ARCHES = {
         adon_latent=16,
         conditioning=mode,
         adon_placements=("early", "middle") if mode in ("adon", "fixed_embedding") else (),
-        embed_hw=(32, 32),
     )
     for mode in ("none", "adon", "fixed_embedding")
 }

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,3 +291,17 @@ def test_repeated_condition_trains_the_next_generation_of_a_chain(workspace, tmp
     # the prefix must start at an unconditioned head
     assert run(args + ["--condition", workspace["g1"]]) == 2
     assert "chain head" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy():
+    import seqens
+
+    src = os.path.dirname(os.path.dirname(seqens.__file__))
+    code = (
+        "import sys, seqens.cli, seqens.recipes; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

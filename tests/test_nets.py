@@ -174,7 +174,6 @@ def test_predict_output_resolution_all_modes():
             adon_latent=4,
             conditioning=mode,
             adon_placements=placements,
-            embed_hw=(24, 16),
         )
         idx = 0 if mode in ("none", "fixed_embedding") else 1
         g = build_generation(cfg, seed=3, index=idx)
@@ -199,7 +198,6 @@ def test_fixed_embedding_ignores_p_prev_and_persists():
         adon_latent=4,
         conditioning="fixed_embedding",
         adon_placements=("middle",),
-        embed_hw=(16, 16),
     )
     g = build_generation(cfg, seed=9, index=0)
     assert g.fixed_embedding is not None
@@ -209,6 +207,23 @@ def test_fixed_embedding_ignores_p_prev_and_persists():
     a = predict(g, img)
     b = predict(g, img, rand_probs(seed=14))  # ignored
     np.testing.assert_array_equal(a.logits, b.logits)
+
+
+def test_fixed_embedding_predicts_at_any_resolution():
+    cfg = BackboneConfig(
+        layer_channels=(4, 6, 8),
+        adon_latent=4,
+        conditioning="fixed_embedding",
+        adon_placements=("early", "late"),
+    )
+    g = build_generation(cfg, seed=9, index=0)
+    emb = g.fixed_embedding.data
+    assert emb.shape == (cfg.num_classes,)
+    assert float(emb.sum()) == pytest.approx(1.0, rel=1e-6)
+    for h, w in ((16, 16), (24, 32)):
+        bundle = predict(g, rand_image(n=2, h=h, w=w, seed=h))
+        assert bundle.labels.shape == (2, h, w)
+        assert np.all(np.isfinite(bundle.logits))
 
 
 def test_flatten_parameters_stable():

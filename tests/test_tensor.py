@@ -146,9 +146,42 @@ def test_resize_constant_and_identity():
     np.testing.assert_array_equal(T.bilinear_resize(x, 6, 6).data, x.data)
 
 
-def test_resize_half_pixel_example():
-    x = Tensor(np.array([[0.0, 2.0], [4.0, 6.0]], dtype=np.float32).reshape(1, 1, 2, 2))
-    assert T.bilinear_resize(x, 1, 1).data.item() == pytest.approx(3.0)
+def _resize_reference(x: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """Four-tap bilinear resize of one (H, W) map, pixel by pixel, in float64."""
+    h, w = x.shape
+
+    def taps(i, size, out_size):
+        s = min(max((i + 0.5) * size / out_size - 0.5, 0.0), size - 1.0)
+        lo = int(np.floor(s))
+        return lo, min(lo + 1, size - 1), s - lo
+
+    out = np.zeros((oh, ow))
+    for i in range(oh):
+        y0, y1, fy = taps(i, h, oh)
+        for j in range(ow):
+            x0, x1, fx = taps(j, w, ow)
+            out[i, j] = (
+                (1 - fy) * (1 - fx) * x[y0, x0]
+                + (1 - fy) * fx * x[y0, x1]
+                + fy * (1 - fx) * x[y1, x0]
+                + fy * fx * x[y1, x1]
+            )
+    return out
+
+
+@pytest.mark.parametrize(
+    "h, w, oh, ow",
+    [(4, 4, 9, 9), (9, 9, 4, 4), (5, 3, 2, 8), (2, 2, 1, 1), (4, 6, 1, 5)],
+    ids=["up", "down", "non_square", "1x1", "1_row"],
+)
+def test_resize_half_pixel_example(h, w, oh, ow):
+    x = np.random.default_rng(h * 100 + w).normal(size=(2, 3, h, w))
+    ref = np.stack([[_resize_reference(m, oh, ow) for m in img] for img in x])
+    out = T.bilinear_resize(Tensor(x, dtype=np.float64), oh, ow).data
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+    out32 = T.bilinear_resize(Tensor(x.astype(np.float32)), oh, ow).data
+    assert out32.dtype == np.float32
+    np.testing.assert_allclose(out32, ref, rtol=0, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +207,6 @@ def test_cross_entropy_all_ignored_and_errors():
     y = np.full((1, 2, 2), 255, dtype=np.int64)
     p = np.full((1, 4, 2, 2), 0.25, dtype=np.float32)
     assert float(T.pixel_cross_entropy(Tensor(p), y, ignore_label=255).data) == 0.0
-    assert T.all_pixels_ignored(y, 255)
     with pytest.raises(T.ShapeError):
         T.pixel_cross_entropy(Tensor(p), np.full((1, 2, 2), 9, dtype=np.int64))
 
