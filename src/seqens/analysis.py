@@ -44,6 +44,8 @@ def segmentation_metrics(pred, gt, num_classes: int, ignore_label: int | None = 
         gv, pv = g[valid], p[valid]
         if np.any((gv < 0) | (gv >= num_classes)):
             raise ValueError("ground-truth label out of range")
+        if np.any((pv < 0) | (pv >= num_classes)):
+            raise ValueError("predicted class out of range")
         confusion += np.bincount(
             (gv * num_classes + pv).ravel(), minlength=num_classes * num_classes
         ).reshape(num_classes, num_classes)
@@ -118,9 +120,13 @@ def mean_offdiagonal(mat: np.ndarray) -> float:
 
 def four_case_table(p0, p1, gt, ignore_label: int | None = None) -> FourCaseTable:
     p0, p1, gt = _as_list(p0), _as_list(p1), _as_list(gt)
+    if not (len(p0) == len(p1) == len(gt)):
+        raise ValueError(f"map count mismatch: {len(p0)}, {len(p1)} and {len(gt)}")
     counts = dict.fromkeys(_CASES, 0)
     for a, b, g in zip(p0, p1, gt):
         a, b, g = np.asarray(a), np.asarray(b), np.asarray(g)
+        if not (a.shape == b.shape == g.shape):
+            raise ValueError(f"shape mismatch {a.shape}, {b.shape} vs {g.shape}")
         valid = np.ones_like(g, dtype=bool) if ignore_label is None else (g != ignore_label)
         c0 = (a == g) & valid
         c1 = (b == g) & valid

@@ -20,7 +20,10 @@ from .calibration import CalibrationConfig, temperature_scale, temperature_sweep
 from .data import (
     FormatError,
     SpecError,
+    _batched_probs,
+    _write_csv,
     checkpoint_from_generation,
+    fmt,
     generation_from_checkpoint,
     load_checkpoint,
     load_split,
@@ -40,18 +43,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
 
 
 def _run_id(resolved: str) -> str:
@@ -116,14 +107,6 @@ def cmd_gen_data(args) -> int:
 
 def _load_generations(paths: list[str]):
     return [generation_from_checkpoint(load_checkpoint(p)) for p in paths]
-
-
-def _batched_probs(probs_fn, dataset, batch_size=16):
-    out = []
-    for start in range(0, len(dataset), batch_size):
-        images = np.stack([s.image for s in dataset[start : start + batch_size]])
-        out.extend(probs_fn(images))
-    return out
 
 
 def cmd_train(args) -> int:

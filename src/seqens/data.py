@@ -182,6 +182,8 @@ def _parse_netpbm(blob: bytes, expect_magic: bytes):
         maxval = int(token())
     except ValueError as e:
         raise FormatError(f"non-numeric header field near byte {pos}") from e
+    if w <= 0 or h <= 0:
+        raise FormatError(f"non-positive image size {w}x{h} near byte {pos}")
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval} near byte {pos}")
     pos += 1  # single whitespace byte after maxval
@@ -278,6 +280,30 @@ def load_split(directory: str, split: str) -> list[Sample]:
             label = decode_pgm(f.read())
         samples.append(Sample(image=image, label=label))
     return samples
+
+
+# ---------------------------------------------------------------------------
+# CSV reports and batched inference
+
+
+def fmt(x: float) -> str:
+    return f"{x:.6f}"
+
+
+def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(row) + "\n")
+
+
+def _batched_probs(probs_fn, dataset, batch_size=16):
+    out = []
+    for start in range(0, len(dataset), batch_size):
+        images = np.stack([s.image for s in dataset[start : start + batch_size]])
+        out.extend(probs_fn(images))
+    return out
 
 
 # ---------------------------------------------------------------------------

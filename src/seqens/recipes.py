@@ -17,8 +17,14 @@ from .analysis import (
     segmentation_metrics,
 )
 from .calibration import CalibrationConfig, temperature_sweep
-from .cli import _batched_probs, _write_csv, fmt
-from .data import DatasetSpec, checkpoint_from_generation, generate_dataset
+from .data import (
+    DatasetSpec,
+    _batched_probs,
+    _write_csv,
+    checkpoint_from_generation,
+    fmt,
+    generate_dataset,
+)
 from .ensembling import Chain, CombineStrategy, chain_predict, chain_provider, combine
 from .nets import BackboneConfig, build_generation, predict
 from .training import TrainConfig, train_generation

@@ -203,7 +203,10 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation with zero padding. x: (N,Cin,H,W), weight: (Cout,Cin,kh,kw)."""
+    """Cross-correlation with zero padding. x: (N,Cin,H,W), weight: (Cout,Cin,kh,kw).
+
+    kn2row (Anderson et al., 2017): one whole-batch GEMM per kernel offset over shifted views.
+    """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
@@ -216,36 +219,73 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise ShapeError("conv2d: stride must be >= 1")
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError("conv2d: kernel larger than padded input")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    s = stride
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh, ow = (hp - kh) // s + 1, (wp - kw) // s + 1
+    # Parity phase (a, b) of the zero-padded input holds padded pixel
+    # (a + s*r, b + s*c) at column (n*hs + r)*ws + c of a channel-major
+    # (C, L + tail) buffer. Output pixel (oy, ox) sits at column
+    # q = (n*hs + oy)*ws + ox of a (Cout, L) buffer, and kernel offset (i, j)
+    # reads it at column q + d of phase (i % s, j % s), d = (i // s)*ws + j // s.
+    # Columns with oy >= oh or ox >= ow, and columns past N*hs*ws, are junk: they
+    # read across row and image ends or into the zero tail, and are cropped.
+    # L is rounded up to a multiple of 32 because the weight gradient reduces
+    # over L, and OpenBLAS sums a long reduction in an order that depends on its
+    # thread count unless the length is such a multiple (seen with 0.3.31 at
+    # 1, 2 and 4 threads); the rounding keeps results bit-identical across them.
+    hs, ws = -(-hp // s), -(-wp // s)
+    L = -(-(n * hs * ws) // 32) * 32
+    tail = (kh - 1) // s * ws + (kw - 1) // s
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
+    def grid(flat, c):
+        """The (N, c, hs, ws) view of the first N*hs*ws columns of a (c, L + ...) buffer."""
+        return flat[:, : n * hs * ws].reshape(c, n, hs, ws).transpose(1, 0, 2, 3)
 
-    out = np.zeros((n, cout, oh, ow), dtype=x.dtype)
-    # accumulate one kernel offset at a time; each term is a channel matmul
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-            out += np.einsum("oc,nchw->nohw", weight.data[:, :, i, j], patch, optimize=True)
-    out += bias.data[None, :, None, None]
-    out_t = Tensor(out)
+    def image_part(a, b):
+        """Phase (a, b)'s pixels inside the image: (rows, cols) there and in the phase grid."""
+        r0, c0 = -(-(padding - a) // s), -(-(padding - b) // s)
+        y0, x0 = a + s * r0 - padding, b + s * c0 - padding
+        nr, nc = len(range(y0, h, s)), len(range(x0, w, s))
+        return (slice(y0, h, s), slice(x0, w, s)), (slice(r0, r0 + nr), slice(c0, c0 + nc))
+
+    phases = {}
+    for a in range(min(s, kh)):
+        for b in range(min(s, kw)):
+            (ys, xs), (rs, cs) = image_part(a, b)
+            phases[a, b] = np.zeros((cin, L + tail), dtype=x.dtype)
+            grid(phases[a, b], cin)[:, :, rs, cs] = x.data[:, :, ys, xs]
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (kh, kw, Cout, Cin)
+    offsets = [(i, j, (i % s, j % s), i // s * ws + j // s) for i in range(kh) for j in range(kw)]
+
+    wide = np.empty((cout, L), dtype=x.dtype)
+    term = np.empty_like(wide)
+    for k, (i, j, ab, d) in enumerate(offsets):
+        np.matmul(wt[i, j], phases[ab][:, d : d + L], out=term if k else wide)
+        if k:
+            wide += term
+    wide += bias.data[:, None]
+    out_t = Tensor(grid(wide, cout)[:, :, :oh, :ow])
 
     def bwd(g):
         gb = g.sum(axis=(0, 2, 3))
-        gw = np.zeros_like(weight.data)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                patch = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-                gw[:, :, i, j] = np.einsum("nohw,nchw->oc", g, patch, optimize=True)
-                gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += np.einsum(
-                    "oc,nohw->nchw", weight.data[:, :, i, j], g, optimize=True
-                )
-        gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        return gx, gw, gb
+        gwide = np.zeros((cout, L), dtype=g.dtype)
+        grid(gwide, cout)[:, :, :oh, :ow] = g
+        gwt = np.empty_like(wt)
+        for i, j, ab, d in offsets:
+            np.matmul(gwide, phases[ab][:, d : d + L].T, out=gwt[i, j])
+        gx = None
+        if x.requires_grad:  # an input image or a frozen map needs no gradient
+            gx = np.zeros(x.shape, dtype=g.dtype)
+            term = np.empty((cin, L), dtype=g.dtype)
+            for (a, b), buf in phases.items():
+                gbuf = np.zeros_like(buf)
+                for i, j, ab, d in offsets:
+                    if ab == (a, b):
+                        np.matmul(wt[i, j].T, gwide, out=term)
+                        gbuf[:, d : d + L] += term
+                (ys, xs), (rs, cs) = image_part(a, b)
+                gx[:, :, ys, xs] = grid(gbuf, cin)[:, :, rs, cs]
+        return gx, gwt.transpose(2, 3, 0, 1), gb
 
     return _record(out_t, (x, weight, bias), bwd)
 

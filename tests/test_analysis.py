@@ -70,6 +70,18 @@ def test_metrics_errors():
         segmentation_metrics([np.zeros((2, 2), int)], [np.full((2, 2), 9)], 3)
 
 
+@pytest.mark.parametrize("bad", [9, 4, -1])
+def test_metrics_reject_predicted_class_out_of_range(bad):
+    gt = np.zeros((2, 2), int)
+    pred = gt.copy()
+    pred[0, 1] = bad
+    with pytest.raises(ValueError, match="predicted class"):
+        segmentation_metrics([pred], [gt], 4)
+    # a prediction under an ignored pixel is not scored
+    gt[0, 1] = 255
+    assert segmentation_metrics([pred], [gt], 4, 255).miou == 1.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.booleans())
 def test_metrics_match_brute_force(seed, c, use_ignore):
@@ -183,6 +195,16 @@ def test_four_case_hand_enumeration():
     assert t.fractions["g1_only"] == pytest.approx(1 / 3)
     assert t.fractions["both_wrong"] == pytest.approx(1 / 3)
     assert sum(t.fractions.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_four_case_rejects_mismatched_inputs():
+    maps = [np.zeros((3, 3), int)] * 3
+    with pytest.raises(ValueError, match="count"):
+        four_case_table(maps, maps[:1], maps)
+    with pytest.raises(ValueError, match="count"):
+        four_case_table(maps, maps, maps[:2])
+    with pytest.raises(ValueError, match="shape"):
+        four_case_table([np.zeros((3, 3), int)], [np.zeros((3, 1), int)], [np.zeros((3, 3), int)])
 
 
 @settings(max_examples=25, deadline=None)

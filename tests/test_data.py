@@ -131,6 +131,15 @@ def test_ppm_comment_and_errors():
         decode_pgm(b"P5\n2 2\n")
 
 
+@pytest.mark.parametrize("size", [b"-2 -2", b"0 3", b"3 0"])
+def test_netpbm_non_positive_size_is_format_error(size):
+    # -2 x -2 asks for 4 payload bytes, so the size check, not the length check, must fire
+    with pytest.raises(FormatError, match="non-positive"):
+        decode_pgm(b"P5 " + size + b" 255\n" + bytes(4))
+    with pytest.raises(FormatError, match="non-positive"):
+        decode_ppm(b"P6 " + size + b" 255\n" + bytes(12))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**31 - 1))
 def test_pgm_roundtrip_property(h, w, seed):

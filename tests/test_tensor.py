@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +66,70 @@ def test_conv2d_linearity():
         Tensor(y), w, zero_b, padding=1
     ).data
     np.testing.assert_allclose(lhs, rhs, atol=1e-5)
+
+
+def conv_reference(x, w, b, stride, padding, g):
+    """Output and the gradients (gx, gw, gb) of sum(g * conv), one output pixel at a time."""
+    n, _, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    y = np.zeros((n, cout, oh, ow))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for k in range(n):
+        for oy in range(oh):
+            for ox in range(ow):
+                rows = slice(oy * stride, oy * stride + kh)
+                cols = slice(ox * stride, ox * stride + kw)
+                patch = xp[k, :, rows, cols]
+                for o in range(cout):
+                    y[k, o, oy, ox] = np.sum(w[o] * patch) + b[o]
+                    gw[o] += g[k, o, oy, ox] * patch
+                    gxp[k, :, rows, cols] += g[k, o, oy, ox] * w[o]
+    gx = gxp[:, :, padding : padding + h, padding : padding + wd]
+    return y, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+# (9, 7): both padded sizes odd, so for stride 2 the odd-row and odd-column phases
+# are one shorter; (8, 11): H + 2p - k is odd, not a multiple of stride 2
+@pytest.mark.parametrize("hw", [(9, 7), (8, 11)])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_matches_direct_loop(stride, padding, kernel, hw):
+    rng = np.random.default_rng(stride * 100 + padding * 10 + kernel + hw[0])
+    x = rng.normal(size=(3, 2, *hw))
+    w = rng.normal(size=(4, 2, kernel, kernel))
+    b = rng.normal(size=4)
+    oh, ow = ((size + 2 * padding - kernel) // stride + 1 for size in hw)
+    g = rng.normal(size=(3, 4, oh, ow))
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    with Graph() as graph:
+        out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        loss = T.sum_all(T.mul(out, Tensor(g)))
+    backward(graph, loss)
+    y, gx, gw, gb = conv_reference(x, w, b, stride, padding, g)
+    assert out.dtype == np.float64
+    x32, w32, b32 = (Tensor(a.astype(np.float32)) for a in (x, w, b))
+    assert T.conv2d(x32, w32, b32, stride=stride, padding=padding).dtype == np.float32
+    for got, want in ((out.data, y), (xt.grad, gx), (wt.grad, gw), (bt.grad, gb)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def test_conv2d_stride2_3x3_grad_check_input_and_weight():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(2, 2, 7, 6)))
+    w = Tensor(rng.normal(scale=0.5, size=(3, 2, 3, 3)))
+    b = Tensor(rng.normal(scale=0.1, size=3))
+    # (7 + 2 - 3) // 2 + 1 = 4 rows, (6 + 2 - 3) // 2 + 1 = 3 columns
+    proj = Tensor(rng.normal(size=(2, 3, 4, 3)))
+    wrt_x = lambda t: T.sum_all(T.mul(T.conv2d(t, w, b, stride=2, padding=1), proj))
+    wrt_w = lambda t: T.sum_all(T.mul(T.conv2d(x, t, b, stride=2, padding=1), proj))
+    assert T.grad_check(wrt_x, x, 1e-3) < 1e-6
+    assert T.grad_check(wrt_w, w, 1e-3) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +463,44 @@ def test_gradcheck_each_op(trial):
         x = Tensor(rng.normal(0, 1, size=shape))
         err = T.grad_check(f, x, 1e-3)
         assert err < 1e-3, f"{name}: {err}"
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+
+
+CONV_GRADIENT_DIGEST = """
+import hashlib
+import numpy as np
+from seqens import tensor as T
+
+rng = np.random.default_rng(3)
+h = hashlib.sha256()
+# odd sizes: the einsum conv's weight gradients differed at 1 and 2 threads here
+for shape, wshape, stride in [((8, 32, 17, 19), (32, 32, 3, 3), 1), ((8, 16, 37, 35), (32, 16, 3, 3), 2)]:
+    x = T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    w = T.Tensor(rng.normal(size=wshape).astype(np.float32), requires_grad=True)
+    b = T.Tensor(np.zeros(wshape[0], np.float32), requires_grad=True)
+    with T.Graph() as graph:
+        y = T.conv2d(x, w, b, stride=stride, padding=1)
+        loss = T.sum_all(T.mul(y, y))
+    T.backward(graph, loss)
+    for a in (x.grad, w.grad, b.grad):
+        h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_conv2d_gradients_do_not_depend_on_blas_threads():
+    import seqens
+
+    src = os.path.dirname(os.path.dirname(seqens.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        res = subprocess.run(
+            [sys.executable, "-c", CONV_GRADIENT_DIGEST], env=env, capture_output=True, text=True
+        )
+        assert res.returncode == 0, res.stderr
+        digests.add(res.stdout.strip())
+    assert len(digests) == 1
