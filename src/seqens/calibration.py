@@ -131,9 +131,3 @@ def temperature_sweep(logit_source, val, cfg: CalibrationConfig, ignore_label=No
         per_bin_by_temperature=per_bin,
     )
 
-
-def calibrated_combine(logit_maps, temperature: float, strategy) -> np.ndarray:
-    from .ensembling import combine
-
-    scaled = [temperature_scale(l, temperature) for l in logit_maps]
-    return combine(scaled, strategy)

@@ -7,6 +7,7 @@ and parallelism cannot change the data.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -257,15 +258,25 @@ def read_manifest(directory: str) -> list[tuple[int, str, str, str]]:
     path = os.path.join(directory, "manifest.csv")
     rows = []
     with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "index,split,image_path,label_path":
-            raise FormatError(f"unexpected manifest header: {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            index, split, ip, lp = line.split(",")
-            rows.append((int(index), split, ip, lp))
+        try:
+            lines = f.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not UTF-8 text") from e
+    header = lines[0].strip() if lines else ""
+    if header != "index,split,image_path,label_path":
+        raise FormatError(f"unexpected manifest header: {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise FormatError(f"{path}: line {lineno} has {len(fields)} fields, expected 4")
+        try:
+            index = int(fields[0])
+        except ValueError as e:
+            raise FormatError(f"{path}: line {lineno}: index {fields[0]!r} is not an integer") from e
+        rows.append((index, *fields[1:]))
     return rows
 
 
@@ -354,7 +365,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise FormatError(f"truncated name length at byte {pos}")
         (nlen,) = struct.unpack_from("<H", blob, pos)
         pos += 2
-        name = blob[pos : pos + nlen].decode("utf-8")
+        try:
+            name = blob[pos : pos + nlen].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"tensor name at byte {pos} is not UTF-8") from e
         pos += nlen
         if pos + 1 > len(blob):
             raise FormatError(f"truncated ndim at byte {pos}")
@@ -364,11 +378,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise FormatError(f"truncated shape at byte {pos}")
         shape = struct.unpack_from(f"<{ndim}I", blob, pos) if ndim else ()
         pos += 4 * ndim
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        nbytes = 4 * size
+        nbytes = 4 * math.prod(shape)  # exact: an int64 product can wrap negative
         if pos + nbytes > len(blob):
             raise FormatError(f"truncated payload for {name!r} at byte {pos}")
-        arr = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").reshape(shape).copy()
+        try:
+            arr = np.frombuffer(blob[pos : pos + nbytes], dtype="<f4").reshape(shape).copy()
+        except ValueError as e:  # e.g. a zero dim beside dims numpy cannot index
+            raise FormatError(f"unusable shape {shape} for {name!r} at byte {pos}") from e
         pos += nbytes
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")

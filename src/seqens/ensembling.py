@@ -142,32 +142,3 @@ def train_chain(train, val, configs, archs) -> Chain:
         generations.append(g)
     return Chain(generations, histories=histories)
 
-
-def train_generalized(g0_pool: list[Generation], train, val, cfg, arch) -> Generation:
-    """Train one conditioned generation against a pool of first-stage models.
-
-    Each training step draws a pool member uniformly (seeded by cfg.seed) to
-    supply the conditioning map.
-    """
-    from .training import train_generation
-
-    if not g0_pool:
-        raise ValueError("empty conditioning pool")
-    classes = {g.config.num_classes for g in g0_pool}
-    if len(classes) != 1:
-        raise ValueError("pool members must share the class count")
-    for g in g0_pool:
-        if g.config.conditioning not in ("none", "fixed_embedding"):
-            raise ValueError("pool members must be unconditioned")
-
-    draw_rng = np.random.Generator(
-        np.random.Philox(key=np.array([np.uint64(cfg.seed), np.uint64(0xD7A)], dtype=np.uint64))
-    )
-
-    def provider(images: np.ndarray) -> np.ndarray:
-        member = g0_pool[int(draw_rng.integers(0, len(g0_pool)))]
-        return predict(member, images).probs
-
-    g1 = build_generation(arch, seed=cfg.seed, index=1)
-    train_generation(g1, train, val, cfg, provider)
-    return g1

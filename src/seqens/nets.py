@@ -260,6 +260,3 @@ def predict(g: Generation, image: Tensor | np.ndarray, p_prev=None) -> Predictio
 def flatten_parameters(g: Generation) -> np.ndarray:
     return np.concatenate([t.data.ravel() for _, t in g.named_parameters()])
 
-
-def parameter_count(g: Generation) -> int:
-    return int(sum(t.data.size for t in g.parameters.values()))

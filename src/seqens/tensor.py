@@ -202,10 +202,23 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
 # conv2d
 
 
+# Offsets are stacked until one GEMM reduces at least _GROUP_DEPTH deep, and the
+# columns stream through blocks of at most _BLOCK_COLS; conv2d explains both.
+_GROUP_DEPTH = 64
+_BLOCK_COLS = 4096
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation with zero padding. x: (N,Cin,H,W), weight: (Cout,Cin,kh,kw).
 
-    kn2row (Anderson et al., 2017): one whole-batch GEMM per kernel offset over shifted views.
+    Kernel offsets read shifted views of channel-major phase buffers (kn2row,
+    Anderson et al., 2017). Shallow inputs stack consecutive offsets into one
+    patch block, so each GEMM reduces at least _GROUP_DEPTH deep: a 3- or
+    4-channel input becomes a single im2col GEMM (Chellapilla et al., 2006),
+    and an input of 64 or more channels, or a 1x1 conv, stays one GEMM per
+    offset over a view. The columns stream through blocks of at most
+    _BLOCK_COLS: the patch block, the per-group product and the input-gradient
+    columns stay that size whatever the batch or image size.
     """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
@@ -254,40 +267,91 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             (ys, xs), (rs, cs) = image_part(a, b)
             phases[a, b] = np.zeros((cin, L + tail), dtype=x.dtype)
             grid(phases[a, b], cin)[:, :, rs, cs] = x.data[:, :, ys, xs]
-    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (kh, kw, Cout, Cin)
-    offsets = [(i, j, (i % s, j % s), i // s * ws + j // s) for i in range(kh) for j in range(kw)]
+    # Offset k = i*kw + j owns columns [k*Cin, (k+1)*Cin) of the (Cout, kh*kw*Cin)
+    # weight matrix, so a run of consecutive offsets is one column slice of it,
+    # and its input rows are their (Cin, B) slices stacked into a patch block.
+    # Both constants come from timing the 12 conv shapes of the default
+    # backbone and its ADON blocks (2-vCPU Xeon, OpenBLAS 0.3.31). A GEMM that
+    # reduces only 3 or 4 deep runs far below the machine's rate: one 27-deep
+    # im2col GEMM made the stem's forward 2x faster than nine 3-deep ones and
+    # eight accumulating passes, and 36 deep did 2.5x for ADON's 4-channel
+    # input. Deeper groups than 64 cost more in patch copies than they gained
+    # in training (the 16-channel stride-2 conv slowed by a quarter at 576).
+    # Blocks of 4096 columns keep a 64-deep float32 patch block at 1 MB and its
+    # (Cout, B) product in cache: at one BLAS thread they beat whole-L GEMMs by
+    # a fifth over all shapes, while blocks of 2048 or fewer lost at two threads
+    # to per-call overhead. Each block starts at a multiple of 32 and L is one,
+    # so every block length is too.
+    kk = kh * kw
+    per_group = min(-(-_GROUP_DEPTH // cin), kk)
+    offsets = [((k // kw % s, k % kw % s), k // kw // s * ws + k % kw // s) for k in range(kk)]
+    groups = [
+        (slice(k * cin, min(k + per_group, kk) * cin), offsets[k : k + per_group])
+        for k in range(0, kk, per_group)
+    ]
+    wmat = np.ascontiguousarray(weight.data.transpose(0, 2, 3, 1)).reshape(cout, kk * cin)
+    bcols = min(L, _BLOCK_COLS)
+    blocks = [(c0, min(bcols, L - c0)) for c0 in range(0, L, bcols)]
 
+    def stacked(offs, c0, width, patch):
+        """A group's (len(offs)*Cin, width) input rows for output columns [c0, c0 + width)."""
+        if len(offs) == 1:  # a view, no copy
+            ab, d = offs[0]
+            return phases[ab][:, c0 + d : c0 + d + width]
+        for k, (ab, d) in enumerate(offs):
+            patch[k * cin : (k + 1) * cin, :width] = phases[ab][:, c0 + d : c0 + d + width]
+        return patch[: len(offs) * cin, :width]
+
+    patch = np.empty((per_group * cin, bcols), dtype=x.dtype)
+    term = np.empty((cout, bcols), dtype=x.dtype)
     wide = np.empty((cout, L), dtype=x.dtype)
-    term = np.empty_like(wide)
-    for k, (i, j, ab, d) in enumerate(offsets):
-        np.matmul(wt[i, j], phases[ab][:, d : d + L], out=term if k else wide)
-        if k:
-            wide += term
-    wide += bias.data[:, None]
-    out_t = Tensor(grid(wide, cout)[:, :, :oh, :ow])
+    for c0, width in blocks:
+        acc = wide[:, c0 : c0 + width]
+        for k, (wcols, offs) in enumerate(groups):
+            cols = stacked(offs, c0, width, patch)
+            np.matmul(wmat[:, wcols], cols, out=term[:, :width] if k else acc)
+            if k:
+                acc += term[:, :width]
+    out = np.empty((n, cout, oh, ow), dtype=x.dtype)
+    np.add(grid(wide, cout)[:, :, :oh, :ow], bias.data[:, None, None], out=out)
 
     def bwd(g):
         gb = g.sum(axis=(0, 2, 3))
         gwide = np.zeros((cout, L), dtype=g.dtype)
         grid(gwide, cout)[:, :, :oh, :ow] = g
-        gwt = np.empty_like(wt)
-        for i, j, ab, d in offsets:
-            np.matmul(gwide, phases[ab][:, d : d + L].T, out=gwt[i, j])
-        gx = None
+        patch = np.empty((per_group * cin, bcols), dtype=g.dtype)
+        gwmat = np.empty_like(wmat)
+        gwpart = np.empty((cout, per_group * cin), dtype=g.dtype)
+        gbufs = gcol = None
         if x.requires_grad:  # an input image or a frozen map needs no gradient
+            gbufs = {ab: np.zeros_like(buf) for ab, buf in phases.items()}
+            gcol = np.empty_like(patch)
+        for c0, width in blocks:
+            gblk = gwide[:, c0 : c0 + width]
+            for wcols, offs in groups:
+                cols = stacked(offs, c0, width, patch)
+                # each block's weight gradient reduces over its own columns, and
+                # the blocks add up in order, whatever the BLAS thread count
+                if c0 == 0:
+                    np.matmul(gblk, cols.T, out=gwmat[:, wcols])
+                else:
+                    part = gwpart[:, : cols.shape[0]]
+                    np.matmul(gblk, cols.T, out=part)
+                    gwmat[:, wcols] += part
+                if gbufs is not None:
+                    gcols = gcol[: cols.shape[0], :width]
+                    np.matmul(wmat[:, wcols].T, gblk, out=gcols)
+                    for k, (ab, d) in enumerate(offs):
+                        gbufs[ab][:, c0 + d : c0 + d + width] += gcols[k * cin : (k + 1) * cin]
+        gx = None
+        if gbufs is not None:
             gx = np.zeros(x.shape, dtype=g.dtype)
-            term = np.empty((cin, L), dtype=g.dtype)
-            for (a, b), buf in phases.items():
-                gbuf = np.zeros_like(buf)
-                for i, j, ab, d in offsets:
-                    if ab == (a, b):
-                        np.matmul(wt[i, j].T, gwide, out=term)
-                        gbuf[:, d : d + L] += term
+            for (a, b), gbuf in gbufs.items():
                 (ys, xs), (rs, cs) = image_part(a, b)
                 gx[:, :, ys, xs] = grid(gbuf, cin)[:, :, rs, cs]
-        return gx, gwt.transpose(2, 3, 0, 1), gb
+        return gx, gwmat.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), gb
 
-    return _record(out_t, (x, weight, bias), bwd)
+    return _record(Tensor(out), (x, weight, bias), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ from .nets import Generation, backbone_param_names, build_generation, forward_lo
 from .tensor import Graph, LrSchedule, SgdMomentum, Tensor, backward, poly_lr_at
 
 
+class NonFiniteError(ValueError):
+    """A training step produced a non-finite loss or gradient."""
+
+
 @dataclass
 class AugmentConfig:
     flip_prob: float = 0.5
@@ -198,6 +202,10 @@ def train_generation(
                 probs = T.channel_softmax(logits)
                 loss = T.pixel_cross_entropy(probs, labels, cfg.ignore_label)
             backward(graph, loss)
+            # stop before the update: a NaN/inf step would poison every parameter
+            grads = (t.grad for t in params if t.grad is not None)
+            if not np.isfinite(loss.data) or not all(np.isfinite(gr).all() for gr in grads):
+                raise NonFiniteError(f"non-finite loss or gradient at training step {step}")
             opt.step(lr)
             history.step_loss.append(float(loss.data))
             step += 1

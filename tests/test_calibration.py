@@ -7,14 +7,12 @@ from seqens import tensor as T
 from seqens.calibration import (
     CalibrationConfig,
     bin_statistics,
-    calibrated_combine,
     confidence_histogram,
     expected_calibration_error,
     temperature_scale,
     temperature_sweep,
 )
 from seqens.data import Sample
-from seqens.ensembling import CombineStrategy
 from seqens.tensor import Tensor
 
 
@@ -180,41 +178,3 @@ def test_sweep_requires_identity_in_grid():
     with pytest.raises(ValueError):
         temperature_sweep(source, data, CalibrationConfig(temperature_grid=(2.0, 4.0)))
 
-
-def test_calibrated_combine_t1_matches_plain_combine():
-    rng = np.random.default_rng(7)
-    logits = [rng.normal(size=(1, 3, 4, 4)).astype(np.float32) for _ in range(3)]
-    from seqens.ensembling import combine
-
-    got = calibrated_combine(logits, 1.0, CombineStrategy("uniform"))
-    want = combine([temperature_scale(l, 1.0) for l in logits], CombineStrategy("uniform"))
-    np.testing.assert_allclose(got, want, atol=1e-7)
-
-
-def test_calibrated_combine_single_member_argmax_unchanged():
-    rng = np.random.default_rng(8)
-    logits = rng.normal(0, 3, size=(1, 4, 5, 5)).astype(np.float32)
-    base = np.argmax(temperature_scale(logits, 1.0), axis=1)
-    for t in (0.5, 2.0, 4.0):
-        out = calibrated_combine([logits], t, CombineStrategy("uniform"))
-        np.testing.assert_array_equal(np.argmax(out, axis=1), base)
-
-
-def test_calibrated_combine_can_flip_averaged_argmax():
-    # two mildly-confident class-1 members outvote one saturated class-0
-    # member at T=1; smoothing (large T) restores the raw logit-margin order,
-    # where the class-0 margin (+6) beats the combined class-1 margins (-2, -2).
-    # (With only two members and two classes no temperature can flip a uniform
-    # average: the larger logit margin wins at every T.)
-    a = np.array([6.0, 0.0], dtype=np.float32).reshape(1, 2, 1, 1)
-    b = np.array([0.0, 2.0], dtype=np.float32).reshape(1, 2, 1, 1)
-    c = np.array([0.0, 2.0], dtype=np.float32).reshape(1, 2, 1, 1)
-    uncal = calibrated_combine([a, b, c], 1.0, CombineStrategy("uniform"))
-    cal = calibrated_combine([a, b, c], 16.0, CombineStrategy("uniform"))
-    assert np.argmax(uncal, axis=1).item() == 1
-    assert np.argmax(cal, axis=1).item() == 0
-    # verified against direct arithmetic
-    sig = lambda x: 1.0 / (1.0 + np.exp(-x))
-    for out, t in ((uncal, 1.0), (cal, 16.0)):
-        want = (sig(6 / t) + 2 * sig(-2 / t)) / 3
-        assert out.ravel()[0] == pytest.approx(want, rel=1e-5)

@@ -263,6 +263,18 @@ def test_data_errors_exit_2(workspace, capsys, tmp_path):
     assert "checkpoint metadata" in capsys.readouterr().err
 
 
+def test_non_finite_training_exits_2_and_saves_nothing(workspace, tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(BASE_CFG.replace("train.epochs = 1", "train.epochs = 4") + "train.lr0 = 1e6\n")
+    out = tmp_path / "diverged"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(out)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(out / "generation.ckpt")
+    assert not os.path.exists(out / "history.csv")
+
+
 def test_repeated_condition_trains_the_next_generation_of_a_chain(workspace, tmp_path, capsys):
     from seqens.config import backbone_config_from, load_config, train_config_from
     from seqens.data import generation_from_checkpoint, load_checkpoint, load_split

@@ -13,7 +13,6 @@ from seqens.ensembling import (
     combine,
     forest_predict,
     train_chain,
-    train_generalized,
 )
 from seqens.nets import BackboneConfig, build_generation, flatten_parameters, predict
 from seqens.training import AugmentConfig, TrainConfig
@@ -272,16 +271,3 @@ def test_chain_provider_runs_frozen_prefix():
     with pytest.raises(ValueError, match="chain head"):
         chain_provider([g1])
 
-
-def test_train_generalized_reproducible_and_validated():
-    train, val, cfg = _tiny_train_setup()
-    pool = [build_generation(SMALL, seed=s) for s in (7, 8)]
-    a = train_generalized(pool, train, val, cfg(9), SMALL_ADON)
-    b = train_generalized(pool, train, val, cfg(9), SMALL_ADON)
-    np.testing.assert_array_equal(flatten_parameters(a), flatten_parameters(b))
-    assert a.config.conditioning == "adon"
-    with pytest.raises(ValueError):
-        train_generalized([], train, val, cfg(9), SMALL_ADON)
-    g1 = build_generation(SMALL_ADON, seed=1, index=1)
-    with pytest.raises(ValueError):
-        train_generalized([g1], train, val, cfg(9), SMALL_ADON)

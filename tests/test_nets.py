@@ -10,7 +10,6 @@ from seqens.nets import (
     build_generation,
     flatten_parameters,
     forward_logits,
-    parameter_count,
     predict,
 )
 from seqens.tensor import Tensor
@@ -35,6 +34,10 @@ ADON_CFG = BackboneConfig(
 
 def conv_count(cout, cin, k):
     return cout * cin * k * k + cout
+
+
+def parameter_count(g):
+    return sum(t.data.size for t in g.parameters.values())
 
 
 def test_parameter_count_closed_form():

@@ -94,14 +94,35 @@ def conv_reference(x, w, b, stride, padding, g):
 
 # (9, 7): both padded sizes odd, so for stride 2 the odd-row and odd-column phases
 # are one shorter; (8, 11): H + 2p - k is odd, not a multiple of stride 2
-@pytest.mark.parametrize("hw", [(9, 7), (8, 11)])
-@pytest.mark.parametrize("kernel", [1, 3, 5])
-@pytest.mark.parametrize("padding", [0, 1, 2])
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv2d_matches_direct_loop(stride, padding, kernel, hw):
+CONV_CASES = [
+    pytest.param(stride, padding, kernel, hw, 2, id=f"{stride}-{padding}-{kernel}-hw{i}")
+    for stride in (1, 2)
+    for padding in (0, 1, 2)
+    for kernel in (1, 3, 5)
+    for i, hw in enumerate([(9, 7), (8, 11)])
+]
+# 3x3 kernels over 1, 3 or 4 channels stack all nine offsets into one GEMM,
+# over 16 channels four at a time, over 32 two at a time, over 64 one at a time
+CONV_CASES += [
+    pytest.param(stride, 1, 3, (9, 7), cin, id=f"{stride}-1-3-hw0-cin{cin}")
+    for stride in (1, 2)
+    for cin in (1, 3, 4, 16, 32, 64)
+]
+CONV_CASES += [
+    # 25 offsets over 4 channels: a group of 16 and a group of 9
+    pytest.param(1, 2, 5, (8, 11), 4, id="1-2-5-hw1-cin4"),
+    # L = 5312 and 5056 columns (3*42*42 and 3*41*41, rounded up to multiples
+    # of 32): one full 4096-column block and a partial one
+    pytest.param(1, 1, 3, (40, 40), 4, id="1-1-3-blocks-cin4"),
+    pytest.param(2, 1, 3, (80, 80), 16, id="2-1-3-blocks-cin16"),
+]
+
+
+@pytest.mark.parametrize("stride, padding, kernel, hw, cin", CONV_CASES)
+def test_conv2d_matches_direct_loop(stride, padding, kernel, hw, cin):
     rng = np.random.default_rng(stride * 100 + padding * 10 + kernel + hw[0])
-    x = rng.normal(size=(3, 2, *hw))
-    w = rng.normal(size=(4, 2, kernel, kernel))
+    x = rng.normal(size=(3, cin, *hw))
+    w = rng.normal(size=(4, cin, kernel, kernel))
     b = rng.normal(size=4)
     oh, ow = ((size + 2 * padding - kernel) // stride + 1 for size in hw)
     g = rng.normal(size=(3, 4, oh, ow))
@@ -476,8 +497,13 @@ from seqens import tensor as T
 
 rng = np.random.default_rng(3)
 h = hashlib.sha256()
-# odd sizes: the einsum conv's weight gradients differed at 1 and 2 threads here
-for shape, wshape, stride in [((8, 32, 17, 19), (32, 32, 3, 3), 1), ((8, 16, 37, 35), (32, 16, 3, 3), 2)]:
+# odd sizes: the einsum conv's weight gradients differed at 1 and 2 threads here;
+# the third shape's 9216 columns span three column blocks, the last one partial
+for shape, wshape, stride in [
+    ((8, 32, 17, 19), (32, 32, 3, 3), 1),
+    ((8, 16, 37, 35), (32, 16, 3, 3), 2),
+    ((4, 4, 45, 47), (32, 4, 3, 3), 1),
+]:
     x = T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
     w = T.Tensor(rng.normal(size=wshape).astype(np.float32), requires_grad=True)
     b = T.Tensor(np.zeros(wshape[0], np.float32), requires_grad=True)

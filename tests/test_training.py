@@ -10,6 +10,7 @@ from seqens.nets import (
 )
 from seqens.training import (
     AugmentConfig,
+    NonFiniteError,
     TrainConfig,
     augment_sample,
     evaluate_miou,
@@ -227,3 +228,12 @@ def test_training_moves_validation_miou_above_collapse():
     train_generation(g, data[:18], [], cfg)
     # a background-only predictor scores ~0.42 mIoU on this 2-class task
     assert evaluate_miou(g, data[18:]) > 0.6
+
+
+def test_non_finite_loss_stops_training_before_the_update():
+    data = tiny_data(seed=10)
+    g = build_generation(SMALL, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        train_generation(g, data, [], tiny_cfg(lr0=1e6, epochs=5, seed=3))
+    # the step that raised did not update: every parameter is still finite
+    assert np.isfinite(flatten_parameters(g)).all()
