@@ -91,10 +91,13 @@ def _aslist(x):
     return list(x)
 
 
-def expected_calibration_error(probs, labels, cfg: CalibrationConfig, ignore_label=None) -> float:
-    stats = bin_statistics(probs, labels, cfg, ignore_label)
+def _ece_from_bins(stats) -> float:
     total = sum(n for n, _, _ in stats)
     return float(sum(n / total * abs(acc - conf) for n, conf, acc in stats if n))
+
+
+def expected_calibration_error(probs, labels, cfg: CalibrationConfig, ignore_label=None) -> float:
+    return _ece_from_bins(bin_statistics(probs, labels, cfg, ignore_label))
 
 
 def confidence_histogram(probs, labels, cfg: CalibrationConfig, ignore_label=None):
@@ -121,8 +124,8 @@ def temperature_sweep(logit_source, val, cfg: CalibrationConfig, ignore_label=No
     per_bin = {}
     for t in cfg.temperature_grid:
         probs = [temperature_scale(l[None], t)[0] for l in logits]
-        rows.append((t, expected_calibration_error(probs, labels, cfg, ignore_label)))
         per_bin[t] = bin_statistics(probs, labels, cfg, ignore_label)
+        rows.append((t, _ece_from_bins(per_bin[t])))
     best_t = min(rows, key=lambda r: (r[1], abs(r[0] - 1.0)))[0]
     return CalibrationReport(
         per_temperature_ece=rows,

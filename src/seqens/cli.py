@@ -21,9 +21,12 @@ from .data import (
     FormatError,
     SpecError,
     _batched_probs,
+    _write_atomic,
     _write_csv,
     checkpoint_from_generation,
+    encode_pgm,
     fmt,
+    generate_sample,
     generation_from_checkpoint,
     load_checkpoint,
     load_split,
@@ -70,13 +73,10 @@ def _metrics_row(run_id, mode, member, n, strategy, t, report) -> list[str]:
 
 
 def dump_labels(directory: str, labels_list, num_classes: int) -> None:
-    from .data import encode_pgm
-
     os.makedirs(directory, exist_ok=True)
     scale = 255 // (num_classes - 1)
     for i, lab in enumerate(labels_list):
-        with open(os.path.join(directory, f"pred_{i:05d}.pgm"), "wb") as f:
-            f.write(encode_pgm(np.asarray(lab) * scale))
+        _write_atomic(os.path.join(directory, f"pred_{i:05d}.pgm"), encode_pgm(np.asarray(lab) * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +87,17 @@ def cmd_gen_data(args) -> int:
     cfg = cfgmod.load_config(args.spec)
     spec = cfgmod.dataset_spec_from(cfg)
     val_count = cfgmod.val_count_from(cfg)
-    if val_count > spec.count:
-        raise UsageError("data.val_count exceeds data.count")
+    if not 0 <= val_count <= spec.count:
+        raise UsageError(f"data.val_count {val_count} is outside 0..data.count ({spec.count})")
     os.makedirs(args.out, exist_ok=True)
     rows = []
     train_count = spec.count - val_count
     for i in range(spec.count):
-        from .data import generate_sample
-
-        sample = generate_sample(spec, i)
-        ip, lp = write_sample(args.out, i, sample)
+        ip, lp = write_sample(args.out, i, generate_sample(spec, i))
         split = "train" if i < train_count else "val"
         rows.append((i, split, os.path.basename(ip), os.path.basename(lp)))
     write_manifest(args.out, rows)
-    with open(os.path.join(args.out, "config.resolved"), "w", encoding="utf-8") as f:
-        f.write(cfgmod.resolved_text(cfg))
+    _write_atomic(os.path.join(args.out, "config.resolved"), cfgmod.resolved_text(cfg).encode("utf-8"))
     return 0
 
 
@@ -119,7 +115,7 @@ def cmd_train(args) -> int:
     # repeated --condition flags are the ordered chain prefix G0..G(k-1); this is G(k)
     conditions = _load_generations(args.condition)
     provider = None
-    if arch.conditioning in ("adon", "early_fusion", "late_fusion"):
+    if arch.takes_map:
         if not conditions:
             raise UsageError("conditioned training needs at least one --condition checkpoint")
         provider = chain_provider(conditions)
@@ -131,9 +127,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "generation.ckpt"), checkpoint_from_generation(g))
-    resolved = cfgmod.resolved_text(cfg)
-    with open(os.path.join(args.out, "config.resolved"), "w", encoding="utf-8") as f:
-        f.write(resolved)
+    _write_atomic(os.path.join(args.out, "config.resolved"), cfgmod.resolved_text(cfg).encode("utf-8"))
     rows = [["step_loss", str(i), fmt(v)] for i, v in enumerate(history.step_loss)]
     rows += [["val_miou", str(i), fmt(v)] for i, v in enumerate(history.epoch_val_miou)]
     rows.append(["final_lr", "0", fmt(history.final_lr)])
@@ -257,7 +251,7 @@ def cmd_fourcase(args) -> int:
     val = load_split(args.data, "val")
     gts = [s.label for s in val]
     p0 = _batched_probs(lambda im: predict(g0, im).probs, val)
-    if g1.config.conditioning in ("none", "fixed_embedding"):
+    if not g1.config.takes_map:
         p1 = _batched_probs(lambda im: predict(g1, im).probs, val)
     else:
         p1 = _batched_probs(chain_provider([g0, g1]), val)

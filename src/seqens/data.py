@@ -16,7 +16,7 @@ import numpy as np
 
 SHAPE_KINDS = ("rectangle", "disk", "triangle")
 CHECKPOINT_MAGIC = b"SQEN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class FormatError(ValueError):
@@ -225,19 +225,20 @@ def decode_pgm(blob: bytes) -> np.ndarray:
 def write_sample(directory: str, index: int, sample: Sample) -> tuple[str, str]:
     image_path = os.path.join(directory, f"image_{index:05d}.ppm")
     label_path = os.path.join(directory, f"label_{index:05d}.pgm")
-    with open(image_path, "wb") as f:
-        f.write(encode_ppm(sample.image))
-    with open(label_path, "wb") as f:
-        f.write(encode_pgm(sample.label))
+    _write_atomic(image_path, encode_ppm(sample.image))
+    _write_atomic(label_path, encode_pgm(sample.label))
     return image_path, label_path
 
 
-def read_sample(directory: str, index: int) -> Sample:
-    with open(os.path.join(directory, f"image_{index:05d}.ppm"), "rb") as f:
+def _read_sample(directory: str, image_name: str, label_name: str) -> Sample:
+    with open(os.path.join(directory, image_name), "rb") as f:
         image = decode_ppm(f.read())
-    with open(os.path.join(directory, f"label_{index:05d}.pgm"), "rb") as f:
-        label = decode_pgm(f.read())
-    return Sample(image=image, label=label)
+    with open(os.path.join(directory, label_name), "rb") as f:
+        return Sample(image=image, label=decode_pgm(f.read()))
+
+
+def read_sample(directory: str, index: int) -> Sample:
+    return _read_sample(directory, f"image_{index:05d}.ppm", f"label_{index:05d}.pgm")
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +248,7 @@ def read_sample(directory: str, index: int) -> Sample:
 def write_manifest(directory: str, rows: list[tuple[int, str, str, str]]) -> str:
     """rows: (index, split, image_path, label_path)."""
     path = os.path.join(directory, "manifest.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("index,split,image_path,label_path\n")
-        for index, split, ip, lp in rows:
-            f.write(f"{index},{split},{ip},{lp}\n")
+    _write_csv(path, ["index", "split", "image_path", "label_path"], [[str(i), *rest] for i, *rest in rows])
     return path
 
 
@@ -281,16 +279,7 @@ def read_manifest(directory: str) -> list[tuple[int, str, str, str]]:
 
 
 def load_split(directory: str, split: str) -> list[Sample]:
-    samples = []
-    for _, sp, ip, lp in read_manifest(directory):
-        if sp != split:
-            continue
-        with open(os.path.join(directory, ip), "rb") as f:
-            image = decode_ppm(f.read())
-        with open(os.path.join(directory, lp), "rb") as f:
-            label = decode_pgm(f.read())
-        samples.append(Sample(image=image, label=label))
-    return samples
+    return [_read_sample(directory, ip, lp) for _, sp, ip, lp in read_manifest(directory) if sp == split]
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +290,23 @@ def fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _write_atomic(path: str, blob: bytes) -> None:
+    """Write through a temp file beside `path` renamed over it: readers see the old file or the
+    new one, never a torn mix. No fsync, so this survives a crash of the program, not power loss."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    _write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def _batched_probs(probs_fn, dataset, batch_size=16):
@@ -328,37 +328,49 @@ class Checkpoint:
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
+    """One self-describing file: `SQEN`, `<III` (version, tensor count, metadata bytes), the
+    metadata as UTF-8 `key=value` lines sorted by key, then per tensor `<H` name length,
+    UTF-8 name, `<B` ndim, `<I` per dim and the little-endian float32 data."""
     names = list(ckpt.tensors)
-    if len(set(names)) != len(names):
-        raise FormatError("duplicate tensor names")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(ckpt.tensors[name], dtype="<f4")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(arr.tobytes())
-    with open(path + ".meta", "w", encoding="utf-8") as f:
-        for k in sorted(ckpt.metadata):
-            f.write(f"{k}={ckpt.metadata[k]}\n")
+    for k, v in ckpt.metadata.items():
+        if "=" in k or "\n" in k or "\n" in v:
+            raise FormatError(f"checkpoint metadata {k!r}: a key holds no '=' or newline, a value no newline")
+    meta = "".join(f"{k}={ckpt.metadata[k]}\n" for k in sorted(ckpt.metadata)).encode("utf-8")
+    parts = [CHECKPOINT_MAGIC, struct.pack("<III", CHECKPOINT_VERSION, len(names), len(meta)), meta]
+    for name in names:
+        arr = np.ascontiguousarray(ckpt.tensors[name], dtype="<f4")
+        nb = name.encode("utf-8")
+        parts += [struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape), arr.tobytes()]
+    _write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 12:
+    if len(blob) < 16:
         raise FormatError(f"file too short ({len(blob)} bytes)")
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r} at byte 0")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count, meta_len = struct.unpack_from("<III", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported version {version} at byte 4")
-    pos = 12
+    pos = 16 + meta_len
+    if pos > len(blob):
+        raise FormatError(f"checkpoint metadata of {meta_len} bytes at byte 16 runs past the end of the file")
+    try:
+        *lines, tail = blob[16:pos].decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"checkpoint metadata is not UTF-8 at byte {16 + e.start}") from e
+    if tail:
+        raise FormatError(f"checkpoint metadata does not end with a newline at byte {pos - 1}")
+    metadata: dict[str, str] = {}
+    for lineno, line in enumerate(lines, start=1):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FormatError(f"checkpoint metadata line {lineno} has no '='")
+        if key in metadata:
+            raise FormatError(f"checkpoint metadata line {lineno} repeats key {key!r}")
+        metadata[key] = value
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         if pos + 2 > len(blob):
@@ -389,16 +401,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
         tensors[name] = arr
-    metadata: dict[str, str] = {}
-    meta_path = path + ".meta"
-    if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                k, _, v = line.partition("=")
-                metadata[k] = v
+    if pos != len(blob):
+        raise FormatError(f"{len(blob) - pos} trailing bytes at byte {pos}")
     return Checkpoint(tensors=tensors, metadata=metadata)
 
 
@@ -438,7 +442,6 @@ def generation_from_checkpoint(ckpt: Checkpoint):
         )
         g = build_generation(cfg, seed=int(m.get("seed", "0")), index=int(m["generation_index"]))
     except (KeyError, ValueError) as e:
-        # the metadata lives in the `.meta` sidecar next to the checkpoint file
         raise FormatError(f"checkpoint metadata missing or malformed: {e}") from e
     if set(ckpt.tensors) != set(g.parameters):
         missing = set(g.parameters) ^ set(ckpt.tensors)
@@ -447,6 +450,4 @@ def generation_from_checkpoint(ckpt: Checkpoint):
         if g.parameters[name].data.shape != arr.shape:
             raise FormatError(f"shape mismatch for {name!r}")
         g.parameters[name].data = arr.astype(np.float32).copy()
-    if g.fixed_embedding is not None:
-        g.fixed_embedding.data = g.parameters["fixed_embedding"].data
     return g

@@ -16,7 +16,6 @@ COMBINE_KINDS = ("uniform", "confidence_weighted", "median", "vote")
 @dataclass
 class CombineStrategy:
     kind: str = "uniform"
-    renormalize: bool = True  # median only
 
     def __post_init__(self):
         if self.kind not in COMBINE_KINDS:
@@ -35,7 +34,7 @@ class Chain:
         if self.self_loops < 0:
             raise ValueError("self_loops must be >= 0")
         g0 = self.generations[0]
-        if g0.config.conditioning not in ("none", "fixed_embedding"):
+        if g0.config.takes_map:
             raise ValueError("chain head must be unconditioned")
         for i, g in enumerate(self.generations[1:], start=1):
             if g.config.conditioning == "none":
@@ -71,8 +70,7 @@ def combine(maps: list[np.ndarray], strategy: CombineStrategy) -> np.ndarray:
         out = (weights * stack).sum(axis=0)
     elif strategy.kind == "median":
         out = np.median(stack, axis=0)
-        if strategy.renormalize:
-            out = out / out.sum(axis=1, keepdims=True)
+        out = out / out.sum(axis=1, keepdims=True)
     else:  # vote
         votes = np.argmax(stack, axis=2)  # (M, N, H, W), ties to lowest class
         c = shape[1]
@@ -96,7 +94,7 @@ def chain_predict(chain: Chain, image) -> list[PredictionBundle]:
     for g in chain.generations[1:]:
         bundles.append(predict(g, image, bundles[-1].probs))
     tail = chain.generations[-1]
-    if chain.self_loops and tail.config.conditioning in ("none", "fixed_embedding"):
+    if chain.self_loops and not tail.config.takes_map:
         raise ValueError("self-refinement needs a conditioned tail generation")
     for _ in range(chain.self_loops):
         bundles.append(predict(tail, image, bundles[-1].probs))

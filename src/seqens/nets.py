@@ -18,6 +18,8 @@ from . import tensor as T
 from .tensor import Tensor
 
 CONDITIONING_MODES = ("none", "adon", "early_fusion", "late_fusion", "fixed_embedding")
+MAP_MODES = ("adon", "early_fusion", "late_fusion")  # fed the previous generation's probabilities
+BLOCK_MODES = ("adon", "fixed_embedding")  # modulate features through ADON blocks
 PLACEMENTS = ("early", "middle", "late")
 
 
@@ -49,11 +51,16 @@ class BackboneConfig:
                 raise ConfigError(f"unknown placement {p!r}")
         if len(set(self.adon_placements)) != len(self.adon_placements):
             raise ConfigError("duplicate placements")
-        needs_blocks = self.conditioning in ("adon", "fixed_embedding")
-        if needs_blocks and not self.adon_placements:
-            raise ConfigError(f"{self.conditioning} conditioning requires placements")
-        if not needs_blocks and self.adon_placements:
-            raise ConfigError("placements only valid with adon/fixed_embedding conditioning")
+        if self.has_blocks != bool(self.adon_placements):
+            raise ConfigError("adon/fixed_embedding conditioning requires placements, other modes take none")
+
+    @property
+    def takes_map(self) -> bool:
+        return self.conditioning in MAP_MODES
+
+    @property
+    def has_blocks(self) -> bool:
+        return self.conditioning in BLOCK_MODES
 
 
 @dataclass
@@ -128,7 +135,7 @@ def backbone_param_names(config: BackboneConfig) -> list[str]:
 
 
 def build_generation(config: BackboneConfig, seed: int, index: int = 0) -> Generation:
-    if index == 0 and config.conditioning not in ("none", "fixed_embedding"):
+    if index == 0 and config.takes_map:
         raise ConfigError("generation 0 must be unconditioned (or a fixed-embedding control)")
     if index > 0 and config.conditioning == "none":
         raise ConfigError("later generations must be conditioned")
@@ -151,7 +158,7 @@ def build_generation(config: BackboneConfig, seed: int, index: int = 0) -> Gener
     params.update(_conv_params(rng, "head", ncls, head_in, 1))
 
     blocks: dict[str, AdonBlock] = {}
-    if config.conditioning in ("adon", "fixed_embedding"):
+    if config.has_blocks:
         depths = {"early": c1, "middle": c2, "late": c3}
         for placement in PLACEMENTS:  # fixed order so init draws are stable
             if placement in config.adon_placements:
@@ -223,7 +230,7 @@ def forward_logits(
         raise T.ShapeError("unconditioned generation rejects a conditioning input")
 
     p = g.parameters
-    use_blocks = mode in ("adon", "fixed_embedding") and not bypass_conditioning
+    use_blocks = g.config.has_blocks and not bypass_conditioning
 
     if mode == "early_fusion" and not bypass_conditioning:
         stem_in = T.concat_channels([image, T.bilinear_resize(cond, h, w)])

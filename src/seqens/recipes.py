@@ -26,7 +26,7 @@ from .data import (
     generate_dataset,
 )
 from .ensembling import Chain, CombineStrategy, chain_predict, chain_provider, combine
-from .nets import BackboneConfig, build_generation, predict
+from .nets import BLOCK_MODES, PLACEMENTS, BackboneConfig, build_generation, predict
 from .training import TrainConfig, train_generation
 
 
@@ -46,9 +46,7 @@ def _train_cfg(seed: int, epochs: int = 6, **kw) -> TrainConfig:
 
 
 def _arch(conditioning: str = "none") -> BackboneConfig:
-    placements = (
-        ("early", "middle", "late") if conditioning in ("adon", "fixed_embedding") else ()
-    )
+    placements = PLACEMENTS if conditioning in BLOCK_MODES else ()
     return BackboneConfig(conditioning=conditioning, adon_placements=placements)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .analysis import segmentation_metrics
-from .data import Checkpoint, Sample
+from .data import Checkpoint, Sample, load_checkpoint
 from .nets import Generation, backbone_param_names, build_generation, forward_logits
 from .tensor import Graph, LrSchedule, SgdMomentum, Tensor, backward, poly_lr_at
 
@@ -145,18 +145,15 @@ def train_generation(
     (N,C,H,W); it must be frozen — no gradients reach it because its output
     enters the graph as a constant.
     """
-    needs_cond = g.config.conditioning in ("adon", "early_fusion", "late_fusion")
-    if needs_cond and condition_provider is None:
+    if g.config.takes_map and condition_provider is None:
         raise ValueError(f"{g.config.conditioning} conditioning needs a provider")
-    if not needs_cond and condition_provider is not None:
+    if not g.config.takes_map and condition_provider is not None:
         raise ValueError("provider given but this generation takes no conditioning input")
     if not train:
         raise ValueError("empty training set")
 
     init_ckpt = None
     if cfg.init_strategy == "warmstart":
-        from .data import load_checkpoint
-
         init_ckpt = (
             cfg.warmstart_checkpoint
             if isinstance(cfg.warmstart_checkpoint, Checkpoint)

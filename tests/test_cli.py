@@ -256,11 +256,32 @@ def test_data_errors_exit_2(workspace, capsys, tmp_path):
         == 2
     )
 
-    # a checkpoint copied without its .meta sidecar
-    bare = tmp_path / "bare.ckpt"
-    bare.write_bytes(open(workspace["g0"], "rb").read())
-    assert run(["eval", "--ckpt", str(bare), "--data", workspace["data"], "--report", str(tmp_path / "r.csv")]) == 2
+    # a checkpoint cut short inside its metadata block
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(open(workspace["g0"], "rb").read()[:40])
+    assert run(["eval", "--ckpt", str(cut), "--data", workspace["data"], "--report", str(tmp_path / "r.csv")]) == 2
     assert "checkpoint metadata" in capsys.readouterr().err
+
+
+def test_checkpoint_copied_alone_evaluates_like_the_original(workspace, tmp_path):
+    copy = tmp_path / "renamed.ckpt"
+    copy.write_bytes(open(workspace["g1"], "rb").read())
+    rows = []
+    for i, ckpt in enumerate((workspace["g1"], str(copy))):
+        report = str(tmp_path / f"{i}.csv")
+        args = ["eval", "--chain", "--ckpt", workspace["g0"], "--ckpt", ckpt, "--data", workspace["data"]]
+        assert run(args + ["--report", report]) == 0
+        rows.append([row[1:] for row in read_csv(report)[1]])  # run_id hashes the paths
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("val_count", [-3, 13])
+def test_gen_data_rejects_val_count_outside_count(tmp_path, capsys, val_count):
+    spec = tmp_path / "task.cfg"
+    spec.write_text(BASE_CFG.replace("data.val_count = 4", f"data.val_count = {val_count}"))
+    assert run(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
+    assert "data.val_count" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_non_finite_training_exits_2_and_saves_nothing(workspace, tmp_path, capsys):

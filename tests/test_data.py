@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,12 +175,71 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_empty_checkpoint_is_12_bytes(tmp_path):
+def test_empty_checkpoint_is_16_bytes(tmp_path):
     path = str(tmp_path / "empty.ckpt")
     save_checkpoint(path, Checkpoint(tensors={}))
     blob = open(path, "rb").read()
-    assert len(blob) == 12
-    assert blob[:4] == b"SQEN"
+    assert blob == b"SQEN" + struct.pack("<III", 2, 0, 0)
+
+
+def test_save_checkpoint_writes_one_file(tmp_path):
+    g = build_generation(BackboneConfig(layer_channels=(4, 6, 8)), seed=1)
+    save_checkpoint(str(tmp_path / "g.ckpt"), checkpoint_from_generation(g))
+    assert os.listdir(tmp_path) == ["g.ckpt"]
+
+
+def _ckpt_bytes(meta: bytes, tensors: bytes = b"", count: int = 0, version: int = 2) -> bytes:
+    return b"SQEN" + struct.pack("<III", version, count, len(meta)) + meta + tensors
+
+
+def test_v1_checkpoint_rejected(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    # a version-1 file: magic, <II (version, count), then the tensor records
+    path.write_bytes(b"SQEN" + struct.pack("<II", 1, 1) + b"\x01\x00t\x01" + struct.pack("<If", 1, 2.5))
+    with pytest.raises(FormatError, match="unsupported version 1 at byte 4"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "blob, match",
+    [
+        (_ckpt_bytes(b"seed=1\n") + b"\x00", "1 trailing bytes at byte 23"),
+        (_ckpt_bytes(b"seed=1\n")[:-2], "metadata of 7 bytes at byte 16 runs past the end"),
+        (_ckpt_bytes(b"seed=\xff\n"), "metadata is not UTF-8 at byte 21"),
+        (_ckpt_bytes(b"seed=1\nconditioning\n"), "metadata line 2 has no '='"),
+        (_ckpt_bytes(b"seed=1\nseed=2\n"), "metadata line 2 repeats key 'seed'"),
+        (_ckpt_bytes(b"seed=1"), "metadata does not end with a newline at byte 21"),
+    ],
+    ids=["trailing_bytes", "metadata_past_end", "not_utf8", "no_equals", "duplicate_key", "no_final_newline"],
+)
+def test_malformed_checkpoint_is_format_error(tmp_path, blob, match):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("key, value", [("a=b", "1"), ("a\nb", "1"), ("a", "1\n2")])
+def test_save_checkpoint_rejects_unwritable_metadata(tmp_path, key, value):
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(FormatError, match="checkpoint metadata"):
+        save_checkpoint(str(path), Checkpoint(tensors={}, metadata={key: value}))
+    assert not path.exists()
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(path, Checkpoint(tensors={"t": np.ones(3, dtype=np.float32)}, metadata={"seed": "1"}))
+    old = open(path, "rb").read()
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        save_checkpoint(path, Checkpoint(tensors={"t": np.zeros(5, dtype=np.float32)}, metadata={"seed": "2"}))
+    assert open(path, "rb").read() == old
+    assert os.listdir(tmp_path) == ["c.ckpt"]
 
 
 def test_corrupt_checkpoint_detected(tmp_path):

@@ -59,21 +59,20 @@ def test_singleton_identity_all_strategies():
 
 def test_median_sort_and_pick_oracle():
     maps = rand_maps(5, seed=2)
-    out = combine(maps, CombineStrategy("median", renormalize=False))
+    out = combine(maps, CombineStrategy("median"))
     stack = np.stack(maps)
     for n in range(stack.shape[1]):
-        for c in range(stack.shape[2]):
-            for i in range(stack.shape[3]):
-                for j in range(stack.shape[4]):
-                    vals = sorted(stack[:, n, c, i, j])
-                    assert out[n, c, i, j] == pytest.approx(vals[2], abs=1e-7)
+        for i in range(stack.shape[3]):
+            for j in range(stack.shape[4]):
+                picked = [sorted(stack[:, n, c, i, j])[2] for c in range(stack.shape[2])]
+                for c in range(stack.shape[2]):
+                    assert out[n, c, i, j] == pytest.approx(picked[c] / sum(picked), abs=1e-7)
 
 
 def test_median_three_value_hand_case():
     maps = [np.full((1, 2, 1, 1), v, dtype=np.float32) for v in (0.2, 0.5, 0.9)]
-    out = combine(maps, CombineStrategy("median", renormalize=False))
-    assert out.ravel()[0] == pytest.approx(0.5)
-    out = combine(maps, CombineStrategy("median", renormalize=True))
+    out = combine(maps, CombineStrategy("median"))
+    assert out.ravel()[0] == pytest.approx(0.5)  # medians (0.5, 0.5) already sum to one
     assert_valid(out)
 
 

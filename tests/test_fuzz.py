@@ -65,6 +65,7 @@ def test_decode_ppm_fuzz(blob):
 def _valid_checkpoint_bytes() -> bytes:
     ckpt = Checkpoint(
         tensors={"a.weight": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.float32(1.5)},
+        metadata={"conditioning": "none", "seed": "3"},
     )
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "c.ckpt")
@@ -73,11 +74,27 @@ def _valid_checkpoint_bytes() -> bytes:
             return f.read()
 
 
+def _header(count: int = 1, meta: bytes = b"") -> bytes:
+    return CHECKPOINT_MAGIC + struct.pack("<III", CHECKPOINT_VERSION, count, len(meta)) + meta
+
+
 VALID_CKPT = _valid_checkpoint_bytes()
-_header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 1)
+VALID_META = b"conditioning=none\nseed=3\n"
+RECORDS = VALID_CKPT[16 + len(VALID_META) :]  # the valid file's two tensor records
+# metadata blocks of `key=value` lines, some without '=', with a repeated key or not UTF-8
+_meta_key = st.sampled_from([b"seed", b"conditioning", b"\xff"])
+_meta_line = st.one_of(
+    st.tuples(_meta_key, st.sampled_from([b"=", b""]), st.binary(max_size=4)).map(b"".join),
+    st.binary(max_size=8),
+)
+_META = st.lists(_meta_line, max_size=4).map(lambda lines: b"".join(line + b"\n" for line in lines))
 CHECKPOINT_BLOBS = st.one_of(
     st.binary(max_size=64),
-    st.binary(max_size=64).map(lambda tail: _header + tail),
+    st.binary(max_size=64).map(lambda tail: _header() + tail),
+    # a metadata block before the valid tensor records, which may be cut short or run on
+    st.tuples(_META, st.integers(0, len(RECORDS)), st.binary(max_size=2)).map(
+        lambda t: _header(2, t[0]) + RECORDS[: t[1]] + t[2]
+    ),
     # a valid file, cut short or with one byte replaced
     st.integers(0, len(VALID_CKPT)).map(lambda n: VALID_CKPT[:n]),
     st.tuples(st.integers(0, len(VALID_CKPT) - 1), st.integers(0, 255)).map(
@@ -98,9 +115,17 @@ def _load_checkpoint_bytes(blob: bytes):
 # wraps to 0 in int64; and the valid file with its first ndim byte set to 5,
 # which reads payload bytes as dims (2, 3, 0, 1065353216, 1073741824): zero
 # elements, but more than numpy can index
-NAME_NOT_UTF8 = _header + b"\x01\x00\x80"
-SIZE_WRAPS = _header + b"\x01\x00w\x04" + struct.pack("<4I", *(65536,) * 4)
-ZERO_SIZE_HUGE_DIMS = VALID_CKPT[:22] + b"\x05" + VALID_CKPT[23:]
+NAME_NOT_UTF8 = _header() + b"\x01\x00\x80"
+SIZE_WRAPS = _header() + b"\x01\x00w\x04" + struct.pack("<4I", *(65536,) * 4)
+_NDIM_AT = 16 + len(VALID_META) + 2 + len(b"a.weight")
+ZERO_SIZE_HUGE_DIMS = VALID_CKPT[:_NDIM_AT] + b"\x05" + VALID_CKPT[_NDIM_AT + 1 :]
+# the metadata block: its length past the end of the file, a byte that is not
+# UTF-8, a line without '=', a repeated key; and the valid file with a byte appended
+META_PAST_END = CHECKPOINT_MAGIC + struct.pack("<III", CHECKPOINT_VERSION, 0, 64) + b"seed=3\n"
+META_NOT_UTF8 = _header(0, b"seed=\xff\n")
+META_NO_EQUALS = _header(0, b"seed\n")
+META_REPEATED_KEY = _header(0, b"seed=3\nseed=4\n")
+TRAILING_BYTE = VALID_CKPT + b"\x00"
 
 
 @FUZZ
@@ -109,6 +134,11 @@ ZERO_SIZE_HUGE_DIMS = VALID_CKPT[:22] + b"\x05" + VALID_CKPT[23:]
 @example(NAME_NOT_UTF8)
 @example(SIZE_WRAPS)
 @example(ZERO_SIZE_HUGE_DIMS)
+@example(META_PAST_END)
+@example(META_NOT_UTF8)
+@example(META_NO_EQUALS)
+@example(META_REPEATED_KEY)
+@example(TRAILING_BYTE)
 def test_load_checkpoint_fuzz(blob):
     try:
         ckpt = _load_checkpoint_bytes(blob)
