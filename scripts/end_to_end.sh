@@ -41,9 +41,12 @@ seqens train --config "$OUT/gen2.cfg"    --data "$OUT/data" --out "$OUT/g2" \
 
 seqens eval --ckpt "$OUT/g0/generation.ckpt" --ckpt "$OUT/m1/generation.ckpt" \
   --data "$OUT/data" --report "$OUT/eval_members.csv"
-# a checkpoint is one self-describing file: a copy under a new name evaluates on its own
+# a checkpoint is one self-describing file: a copy under a new name evaluates on its own,
+# and its report is byte-identical to the original's (set -e stops the script if not)
 cp "$OUT/g0/generation.ckpt" "$OUT/g0_copy.ckpt"
 seqens eval --ckpt "$OUT/g0_copy.ckpt" --data "$OUT/data" --report "$OUT/eval_copy.csv"
+seqens eval --ckpt "$OUT/g0/generation.ckpt" --data "$OUT/data" --report "$OUT/eval_g0.csv"
+cmp "$OUT/eval_g0.csv" "$OUT/eval_copy.csv"
 seqens eval --chain --ckpt "$OUT/g0/generation.ckpt" --ckpt "$OUT/g1/generation.ckpt" \
   --ckpt "$OUT/g2/generation.ckpt" --data "$OUT/data" --report "$OUT/eval_chain.csv"
 seqens ensemble --mode sim --ckpt "$OUT/g0/generation.ckpt" \

@@ -24,14 +24,7 @@ class FourCaseTable:
 _CASES = ("both_correct", "g0_only", "g1_only", "both_wrong")
 
 
-def _as_list(x):
-    if isinstance(x, np.ndarray) and x.ndim == 2:
-        return [x]
-    return list(x)
-
-
 def segmentation_metrics(pred, gt, num_classes: int, ignore_label: int | None = None) -> MetricsReport:
-    pred, gt = _as_list(pred), _as_list(gt)
     if len(pred) != len(gt):
         raise ValueError("prediction/ground-truth count mismatch")
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -90,17 +83,14 @@ def _similarity_from_vectors(vectors: list[np.ndarray]) -> np.ndarray:
     return mat
 
 
-def prediction_similarity_matrix(members, dataset) -> np.ndarray:
-    """Cosine similarity between members' stacked probability maps over a dataset.
+def prediction_similarity_matrix(maps) -> np.ndarray:
+    """Cosine similarity between members' probability maps over one split.
 
-    Each member is a callable mapping an image batch (N,3,H,W) to a
-    probability map (N,C,H,W); images are evaluated in fixed dataset order.
+    Each member's maps are one (N,C,H,W) array, images in the same order.
     """
-    if len(members) < 2:
+    if len(maps) < 2:
         raise ValueError("need at least two members")
-    images = np.stack([s.image for s in dataset])
-    vectors = [np.asarray(m(images), dtype=np.float64).ravel() for m in members]
-    return _similarity_from_vectors(vectors)
+    return _similarity_from_vectors([np.asarray(m, dtype=np.float64).ravel() for m in maps])
 
 
 def parameter_similarity_matrix(members) -> np.ndarray:
@@ -119,7 +109,6 @@ def mean_offdiagonal(mat: np.ndarray) -> float:
 
 
 def four_case_table(p0, p1, gt, ignore_label: int | None = None) -> FourCaseTable:
-    p0, p1, gt = _as_list(p0), _as_list(p1), _as_list(gt)
     if not (len(p0) == len(p1) == len(gt)):
         raise ValueError(f"map count mismatch: {len(p0)}, {len(p1)} and {len(gt)}")
     counts = dict.fromkeys(_CASES, 0)

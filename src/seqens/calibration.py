@@ -23,6 +23,8 @@ class CalibrationConfig:
             raise ValueError("temperatures must be > 0")
         if list(self.temperature_grid) != sorted(self.temperature_grid):
             raise ValueError("temperature grid must be sorted ascending")
+        if 1.0 not in self.temperature_grid:  # also rejects an empty grid
+            raise ValueError("temperature grid must contain 1.0")
 
 
 @dataclass
@@ -52,7 +54,7 @@ def _bin_index(conf: np.ndarray, num_bins: int) -> np.ndarray:
 def _flatten_pixels(probs, labels, ignore_label):
     # accepts per-image (C,H,W)/(H,W) or batched (N,C,H,W)/(N,H,W) pairs
     confs, hits = [], []
-    for p, y in zip(probs, labels):
+    for p, y in zip(probs, labels, strict=True):
         p = np.asarray(p, dtype=np.float64)
         y = np.asarray(y)
         valid = np.ones_like(y, dtype=bool) if ignore_label is None else (y != ignore_label)
@@ -71,7 +73,7 @@ def _flatten_pixels(probs, labels, ignore_label):
 
 def bin_statistics(probs, labels, cfg: CalibrationConfig, ignore_label=None):
     """Per-bin (count, mean confidence, accuracy); empty bins report zeros."""
-    conf, hit = _flatten_pixels(_aslist(probs), _aslist(labels), ignore_label)
+    conf, hit = _flatten_pixels(probs, labels, ignore_label)
     idx = _bin_index(conf, cfg.num_bins)
     stats = []
     for m in range(cfg.num_bins):
@@ -84,13 +86,6 @@ def bin_statistics(probs, labels, cfg: CalibrationConfig, ignore_label=None):
     return stats
 
 
-def _aslist(x):
-    arr = np.asarray(x) if not isinstance(x, (list, tuple)) else x
-    if isinstance(arr, np.ndarray):
-        return [arr]
-    return list(x)
-
-
 def _ece_from_bins(stats) -> float:
     total = sum(n for n, _, _ in stats)
     return float(sum(n / total * abs(acc - conf) for n, conf, acc in stats if n))
@@ -101,30 +96,23 @@ def expected_calibration_error(probs, labels, cfg: CalibrationConfig, ignore_lab
 
 
 def confidence_histogram(probs, labels, cfg: CalibrationConfig, ignore_label=None):
-    conf, hit = _flatten_pixels(_aslist(probs), _aslist(labels), ignore_label)
+    conf, hit = _flatten_pixels(probs, labels, ignore_label)
     idx = _bin_index(conf, cfg.num_bins)
     correct = np.bincount(idx[hit], minlength=cfg.num_bins)[: cfg.num_bins]
     incorrect = np.bincount(idx[~hit], minlength=cfg.num_bins)[: cfg.num_bins]
     return list(map(int, correct)), list(map(int, incorrect))
 
 
-def temperature_sweep(logit_source, val, cfg: CalibrationConfig, ignore_label=None) -> CalibrationReport:
-    """Evaluate ECE on cached logits at each grid temperature and pick the best.
+def temperature_sweep(logits, labels, cfg: CalibrationConfig, ignore_label=None) -> CalibrationReport:
+    """Evaluate ECE on cached logits (N,C,H,W) at each grid temperature and pick the best.
 
-    logit_source maps the dataset to a list of per-image logits (C,H,W).
-    Ties in ECE break toward the temperature closest to 1.
+    labels are the N ground-truth maps (H,W). Ties in ECE break toward the
+    temperature closest to 1.
     """
-    if not cfg.temperature_grid:
-        raise ValueError("empty temperature grid")
-    if 1.0 not in cfg.temperature_grid:
-        raise ValueError("temperature grid must contain 1.0")
-    logits = [np.asarray(l) for l in logit_source(val)]
-    labels = [s.label for s in val]
     rows = []
     per_bin = {}
     for t in cfg.temperature_grid:
-        probs = [temperature_scale(l[None], t)[0] for l in logits]
-        per_bin[t] = bin_statistics(probs, labels, cfg, ignore_label)
+        per_bin[t] = bin_statistics(temperature_scale(logits, t), labels, cfg, ignore_label)
         rows.append((t, _ece_from_bins(per_bin[t])))
     best_t = min(rows, key=lambda r: (r[1], abs(r[0] - 1.0)))[0]
     return CalibrationReport(

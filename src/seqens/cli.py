@@ -18,6 +18,7 @@ from .analysis import (
 )
 from .calibration import CalibrationConfig, temperature_scale, temperature_sweep
 from .data import (
+    IGNORE_LABEL,
     FormatError,
     SpecError,
     _batched_probs,
@@ -48,8 +49,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _run_id(resolved: str) -> str:
-    return hashlib.sha256(resolved.encode("utf-8")).hexdigest()[:8]
+def _run_id(ckpt_paths: list[str], mode: str = "") -> str:
+    """Names the models, not the paths they were read from: hashes each file's bytes."""
+    h = hashlib.sha256(mode.encode("utf-8"))
+    for path in ckpt_paths:
+        with open(path, "rb") as f:
+            h.update(hashlib.sha256(f.read()).digest())
+    return h.hexdigest()[:8]
 
 
 def _metrics_header(num_classes: int) -> list[str]:
@@ -138,16 +144,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     gens = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
-    if not val:
-        raise FormatError("no validation samples in the data directory")
     num_classes = gens[0].config.num_classes
     gts = [s.label for s in val]
-    run_id = _run_id(",".join(args.ckpt))
+    run_id = _run_id(args.ckpt)
     rows = []
     if args.chain:
-        probs = _batched_probs(chain_provider(gens, args.self_loops), val)
-        labels = [np.argmax(p, axis=0) for p in probs]
-        report = segmentation_metrics(labels, gts, num_classes, args.ignore_label)
+        labels = _batched_probs(chain_provider(gens, args.self_loops), val).argmax(axis=1)
+        report = segmentation_metrics(labels, gts, num_classes, IGNORE_LABEL)
         rows.append(
             _metrics_row(run_id, "seq", len(gens) - 1, len(gens), "chain", 1.0, report)
         )
@@ -155,9 +158,8 @@ def cmd_eval(args) -> int:
             dump_labels(args.dump, labels, num_classes)
     else:
         for i, g in enumerate(gens):
-            probs = _batched_probs(lambda im: predict(g, im).probs, val)
-            labels = [np.argmax(p, axis=0) for p in probs]
-            report = segmentation_metrics(labels, gts, num_classes, args.ignore_label)
+            labels = _batched_probs(lambda im: predict(g, im).probs, val).argmax(axis=1)
+            report = segmentation_metrics(labels, gts, num_classes, IGNORE_LABEL)
             rows.append(_metrics_row(run_id, "single", i, 1, "none", 1.0, report))
             if args.dump:
                 dump_labels(os.path.join(args.dump, f"member{i}"), labels, num_classes)
@@ -171,24 +173,21 @@ def cmd_ensemble(args) -> int:
     num_classes = gens[0].config.num_classes
     gts = [s.label for s in val]
     strategy = CombineStrategy(args.strategy)
-    run_id = _run_id(args.mode + "," + ",".join(args.ckpt))
+    run_id = _run_id(args.ckpt, args.mode)
     if args.mode == "seq":
         probs = _batched_probs(chain_provider(gens, args.self_loops), val)
     else:
         # at T = 1 this equals predict().probs bit for bit: scaling by 1.0 is exact
         member_probs = [
-            [
-                temperature_scale(l[None], args.temperature)[0]
-                for l in _batched_probs(lambda im, g=g: predict(g, im).logits, val)
-            ]
+            temperature_scale(_batched_probs(lambda im, g=g: predict(g, im).logits, val), args.temperature)
             for g in gens
         ]
-        probs = [
-            combine([mp[i][None] for mp in member_probs], strategy)[0]
-            for i in range(len(val))
-        ]
-    labels = [np.argmax(p, axis=0) for p in probs]
-    report = segmentation_metrics(labels, gts, num_classes, args.ignore_label)
+        # image by image: combine's float64 stack of every member stays one image deep
+        probs = np.concatenate(
+            [combine([mp[i : i + 1] for mp in member_probs], strategy) for i in range(len(val))]
+        )
+    labels = probs.argmax(axis=1)
+    report = segmentation_metrics(labels, gts, num_classes, IGNORE_LABEL)
     rows = [
         _metrics_row(
             run_id, args.mode, "ensemble", len(gens), args.strategy, args.temperature, report
@@ -220,11 +219,8 @@ def cmd_calibrate(args) -> int:
     cfg = CalibrationConfig(num_bins=args.bins, temperature_grid=grid)
 
     chain = Chain(gens)  # one checkpoint is a chain of one
-
-    def logit_source(dataset):
-        return _batched_probs(lambda im: chain_predict(chain, im)[-1].logits, dataset)
-
-    report = temperature_sweep(logit_source, val, cfg, args.ignore_label)
+    logits = _batched_probs(lambda im: chain_predict(chain, im)[-1].logits, val)
+    report = temperature_sweep(logits, [s.label for s in val], cfg, IGNORE_LABEL)
     header, rows = _calibration_rows(report, cfg.num_bins)
     _write_csv(args.report, header, rows)
     return 0
@@ -233,8 +229,9 @@ def cmd_calibrate(args) -> int:
 def cmd_diversity(args) -> int:
     gens = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
-    members = [lambda im, g=g: predict(g, im).probs for g in gens]
-    pred_mat = prediction_similarity_matrix(members, val)
+    pred_mat = prediction_similarity_matrix(
+        [_batched_probs(lambda im, g=g: predict(g, im).probs, val) for g in gens]
+    )
     param_mat = parameter_similarity_matrix(gens)
     rows = []
     for i in range(len(gens)):
@@ -249,15 +246,10 @@ def cmd_fourcase(args) -> int:
         raise UsageError("fourcase needs exactly two --ckpt checkpoints")
     g0, g1 = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
-    gts = [s.label for s in val]
-    p0 = _batched_probs(lambda im: predict(g0, im).probs, val)
-    if not g1.config.takes_map:
-        p1 = _batched_probs(lambda im: predict(g1, im).probs, val)
-    else:
-        p1 = _batched_probs(chain_provider([g0, g1]), val)
-    l0 = [np.argmax(p, axis=0) for p in p0]
-    l1 = [np.argmax(p, axis=0) for p in p1]
-    table = four_case_table(l0, l1, gts, args.ignore_label)
+    p1_fn = chain_provider([g0, g1]) if g1.config.takes_map else lambda im: predict(g1, im).probs
+    l0 = _batched_probs(lambda im: predict(g0, im).probs, val).argmax(axis=1)
+    l1 = _batched_probs(p1_fn, val).argmax(axis=1)
+    table = four_case_table(l0, l1, [s.label for s in val], IGNORE_LABEL)
     rows = [
         [case, str(table.counts[case]), fmt(table.fractions[case])]
         for case in ("both_correct", "g0_only", "g1_only", "both_wrong")
@@ -300,7 +292,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--report", required=True)
     sp.add_argument("--chain", action="store_true")
     sp.add_argument("--self-loops", type=int, default=0, dest="self_loops")
-    sp.add_argument("--ignore-label", type=int, default=255, dest="ignore_label")
     sp.add_argument("--dump", default=None)
     sp.set_defaults(fn=cmd_eval)
 
@@ -316,7 +307,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--report", required=True)
     sp.add_argument("--self-loops", type=int, default=0, dest="self_loops")
     sp.add_argument("--t", type=float, default=1.0, dest="temperature")
-    sp.add_argument("--ignore-label", type=int, default=255, dest="ignore_label")
     sp.add_argument("--dump", default=None)
     sp.set_defaults(fn=cmd_ensemble)
 
@@ -326,7 +316,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid", default="0.5,1,2,4,8")
     sp.add_argument("--bins", type=int, default=10)
     sp.add_argument("--report", required=True)
-    sp.add_argument("--ignore-label", type=int, default=255, dest="ignore_label")
     sp.set_defaults(fn=cmd_calibrate)
 
     sp = sub.add_parser("diversity", help="pairwise prediction/parameter cosine matrices")
@@ -339,7 +328,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--ckpt", action="append", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--report", required=True)
-    sp.add_argument("--ignore-label", type=int, default=255, dest="ignore_label")
     sp.set_defaults(fn=cmd_fourcase)
 
     sp = sub.add_parser("reproduce", help="run a named desk-scale figure recipe")

@@ -41,7 +41,6 @@ _KNOWN_KEYS = {
     "train.resize_hi": float,
     "train.crop_h": int,
     "train.crop_w": int,
-    "train.ignore_label": int,
 }
 
 
@@ -141,7 +140,6 @@ def train_config_from(cfg: dict[str, str]) -> TrainConfig:
         init_strategy=_get(cfg, "train.init_strategy", "random"),
         warmstart_checkpoint=_get(cfg, "train.warmstart_checkpoint", None),
         augment=aug,
-        ignore_label=_get(cfg, "train.ignore_label", 255),
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 SHAPE_KINDS = ("rectangle", "disk", "triangle")
 CHECKPOINT_MAGIC = b"SQEN"
 CHECKPOINT_VERSION = 2
+IGNORE_LABEL = 255  # label value that the loss and every metric skip (pad from augmentation)
 
 
 class FormatError(ValueError):
@@ -309,12 +310,14 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     _write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
-def _batched_probs(probs_fn, dataset, batch_size=16):
-    out = []
-    for start in range(0, len(dataset), batch_size):
-        images = np.stack([s.image for s in dataset[start : start + batch_size]])
-        out.extend(probs_fn(images))
-    return out
+def _batched_probs(fn, dataset, batch_size=16) -> np.ndarray:
+    """Run `fn` (image batch -> per-image maps) over the split in batches; one array, image on axis 0."""
+    if not dataset:
+        raise FormatError("empty split: no samples to run the model over")
+    return np.concatenate([
+        fn(np.stack([s.image for s in dataset[start : start + batch_size]]))
+        for start in range(0, len(dataset), batch_size)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -449,5 +452,5 @@ def generation_from_checkpoint(ckpt: Checkpoint):
     for name, arr in ckpt.tensors.items():
         if g.parameters[name].data.shape != arr.shape:
             raise FormatError(f"shape mismatch for {name!r}")
-        g.parameters[name].data = arr.astype(np.float32).copy()
+        g.parameters[name].data = np.array(arr, dtype=np.float32)
     return g

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import Generation, PredictionBundle, build_generation, predict
+from .nets import Generation, PredictionBundle, predict
 from .tensor import Tensor
 from . import tensor as T
 
@@ -26,7 +26,6 @@ class CombineStrategy:
 class Chain:
     generations: list[Generation]
     self_loops: int = 0
-    histories: list = field(default_factory=list)  # one TrainHistory per generation (train_chain)
 
     def __post_init__(self):
         if not self.generations:
@@ -84,7 +83,7 @@ def combine(maps: list[np.ndarray], strategy: CombineStrategy) -> np.ndarray:
 def _bundle_from_probs(probs: np.ndarray) -> PredictionBundle:
     # combined maps have no native logits; log-probabilities stand in
     logits = np.log(np.maximum(probs, T.LOG_CLAMP)).astype(probs.dtype)
-    return PredictionBundle(logits=logits, probs=probs, labels=np.argmax(probs, axis=1))
+    return PredictionBundle(logits=logits, probs=probs)
 
 
 def chain_predict(chain: Chain, image) -> list[PredictionBundle]:
@@ -119,24 +118,4 @@ def chain_provider(prefix: list[Generation], self_loops: int = 0):
         return chain_predict(chain, images)[-1].probs
 
     return provider
-
-
-def train_chain(train, val, configs, archs) -> Chain:
-    """Train generations left to right, each conditioned on the frozen prefix.
-
-    configs/archs: per-generation TrainConfig and BackboneConfig lists of
-    equal length. Returns the assembled chain with its training histories.
-    """
-    from .training import train_generation
-
-    if len(configs) != len(archs) or not configs:
-        raise ValueError("need one (TrainConfig, BackboneConfig) pair per generation")
-    generations: list[Generation] = []
-    histories = []
-    for i, (cfg, arch) in enumerate(zip(configs, archs)):
-        g = build_generation(arch, seed=cfg.seed, index=i)
-        provider = chain_provider(generations) if i > 0 else None
-        histories.append(train_generation(g, train, val, cfg, provider))
-        generations.append(g)
-    return Chain(generations, histories=histories)
 

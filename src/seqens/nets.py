@@ -80,7 +80,6 @@ class AdonBlock:
 class PredictionBundle:
     logits: np.ndarray
     probs: np.ndarray
-    labels: np.ndarray
 
 
 @dataclass
@@ -253,15 +252,14 @@ def forward_logits(
 
 
 def predict(g: Generation, image: Tensor | np.ndarray, p_prev=None) -> PredictionBundle:
-    """Inference forward pass; returns logits, probability map and argmax labels."""
+    """Inference forward pass; returns logits and probability map."""
     if not isinstance(image, Tensor):
         image = Tensor(image)
     if p_prev is not None and not isinstance(p_prev, Tensor):
         p_prev = Tensor(p_prev)
     logits = forward_logits(g, image, p_prev)
     probs = T.channel_softmax(logits)
-    labels = np.argmax(probs.data, axis=1)  # ties break to the lowest class index
-    return PredictionBundle(logits=logits.data, probs=probs.data, labels=labels)
+    return PredictionBundle(logits=logits.data, probs=probs.data)
 
 
 def flatten_parameters(g: Generation) -> np.ndarray:

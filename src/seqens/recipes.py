@@ -18,6 +18,7 @@ from .analysis import (
 )
 from .calibration import CalibrationConfig, temperature_sweep
 from .data import (
+    IGNORE_LABEL,
     DatasetSpec,
     _batched_probs,
     _write_csv,
@@ -56,10 +57,9 @@ def _train_g0(train, val, seed: int):
     return g
 
 
-def _miou(probs_list, dataset, num_classes=4):
-    labels = [np.argmax(p, axis=0) for p in probs_list]
+def _miou(probs, dataset, num_classes=4):
     gts = [s.label for s in dataset]
-    return segmentation_metrics(labels, gts, num_classes, 255).miou
+    return segmentation_metrics(probs.argmax(axis=1), gts, num_classes, IGNORE_LABEL).miou
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +78,7 @@ def recipe_seq_vs_sim(out_dir: str):
         chain_gens.append(g)
 
     rows = []
-    member_probs = [
-        _batched_probs(lambda im, g=g: predict(g, im).probs, val) for g in members
-    ]
+    member_probs = [_batched_probs(lambda im, g=g: predict(g, im).probs, val) for g in members]
     # one pass over G0..G3: a chain's reported prediction is its final
     # generation's output map, so generation n-1's map is SEQ at N = n
     chain = Chain(chain_gens)
@@ -89,13 +87,8 @@ def recipe_seq_vs_sim(out_dir: str):
     )
     uniform = CombineStrategy("uniform")
     for n in range(1, 5):
-        sim_probs = [
-            combine([mp[i][None] for mp in member_probs[:n]], uniform)[0]
-            for i in range(len(val))
-        ]
-        rows.append(["sim", str(n), fmt(_miou(sim_probs, val))])
-        seq_probs = [p[n - 1] for p in chain_probs]
-        rows.append(["seq", str(n), fmt(_miou(seq_probs, val))])
+        rows.append(["sim", str(n), fmt(_miou(combine(member_probs[:n], uniform), val))])
+        rows.append(["seq", str(n), fmt(_miou(chain_probs[:, n - 1], val))])
     _write_csv(os.path.join(out_dir, "seq_vs_sim.csv"), ["mode", "N", "miou"], rows)
 
 
@@ -104,11 +97,8 @@ def recipe_ece_sweep(out_dir: str):
     train, val, _ = _task()
     g = _train_g0(train, val, seed=201)
     cfg = CalibrationConfig(num_bins=10, temperature_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0))
-
-    def logit_source(dataset):
-        return _batched_probs(lambda im: predict(g, im).logits, dataset)
-
-    report = temperature_sweep(logit_source, val, cfg, ignore_label=255)
+    logits = _batched_probs(lambda im: predict(g, im).logits, val)
+    report = temperature_sweep(logits, [s.label for s in val], cfg, IGNORE_LABEL)
     rows = [[fmt(t), fmt(e)] for t, e in report.per_temperature_ece]
     rows.append([fmt(report.best_temperature), "best"])
     _write_csv(os.path.join(out_dir, "ece_sweep.csv"), ["T", "ece"], rows)
@@ -133,7 +123,7 @@ def recipe_diversity_init(out_dir: str):
     rows = []
     for name, members in (("random", random_members), ("warmstart", warm_members)):
         pred = prediction_similarity_matrix(
-            [lambda im, g=g: predict(g, im).probs for g in members], val
+            [_batched_probs(lambda im, g=g: predict(g, im).probs, val) for g in members]
         )
         param = parameter_similarity_matrix(members)
         for i in range(len(members)):

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .analysis import segmentation_metrics
-from .data import Checkpoint, Sample, load_checkpoint
+from .data import IGNORE_LABEL, Checkpoint, Sample, _batched_probs, load_checkpoint
 from .nets import Generation, backbone_param_names, build_generation, forward_logits
 from .tensor import Graph, LrSchedule, SgdMomentum, Tensor, backward, poly_lr_at
 
@@ -41,7 +41,6 @@ class TrainConfig:
     init_strategy: str = "random"  # or "warmstart"
     warmstart_checkpoint: str | None = None
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    ignore_label: int | None = 255
 
     def __post_init__(self):
         if self.init_strategy not in ("random", "warmstart"):
@@ -62,7 +61,7 @@ def augment_sample(
     label: np.ndarray,
     params: AugmentConfig,
     rng: np.random.Generator,
-    ignore_label: int | None = 255,
+    ignore_label: int | None = IGNORE_LABEL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Identical geometric transform for image (bilinear) and label (nearest)."""
     h, w = label.shape
@@ -106,30 +105,19 @@ def init_parameters(
             src = warmstart.tensors.get(name)
             if src is None or src.shape != g.parameters[name].data.shape:
                 raise ValueError(f"warmstart checkpoint incompatible at {name!r}")
-            g.parameters[name].data = src.astype(np.float32).copy()
-
-
-def _predict_probs_batch(g: Generation, images: np.ndarray, provider=None) -> np.ndarray:
-    cond = None if provider is None else provider(images)
-    logits = forward_logits(g, Tensor(images), None if cond is None else Tensor(cond))
-    return T.channel_softmax(logits).data
+            g.parameters[name].data = np.array(src, dtype=np.float32)
 
 
 def evaluate_miou(
-    g: Generation,
-    dataset: list[Sample],
-    provider=None,
-    ignore_label: int | None = 255,
-    batch_size: int = 16,
+    g: Generation, dataset: list[Sample], provider=None, ignore_label: int | None = IGNORE_LABEL
 ) -> float:
-    preds, gts = [], []
-    for start in range(0, len(dataset), batch_size):
-        batch = dataset[start : start + batch_size]
-        images = np.stack([s.image for s in batch])
-        probs = _predict_probs_batch(g, images, provider)
-        preds.extend(np.argmax(probs, axis=1))
-        gts.extend(s.label for s in batch)
-    return segmentation_metrics(preds, gts, g.config.num_classes, ignore_label).miou
+    # argmax per batch: the split's labels take half the memory of its probability maps
+    def labels_fn(images):
+        cond = None if provider is None else Tensor(provider(images))
+        return T.channel_softmax(forward_logits(g, Tensor(images), cond)).data.argmax(axis=1)
+
+    labels = _batched_probs(labels_fn, dataset)
+    return segmentation_metrics(labels, [s.label for s in dataset], g.config.num_classes, ignore_label).miou
 
 
 def train_generation(
@@ -181,9 +169,7 @@ def train_generation(
             idx = order[start : start + cfg.batch_size]
             images, labels = [], []
             for i in idx:
-                im, lb = augment_sample(
-                    train[i].image, train[i].label, cfg.augment, rng, cfg.ignore_label
-                )
+                im, lb = augment_sample(train[i].image, train[i].label, cfg.augment, rng)
                 images.append(im)
                 labels.append(lb)
             images = np.stack(images)
@@ -197,7 +183,7 @@ def train_generation(
             with Graph() as graph:
                 logits = forward_logits(g, Tensor(images), cond)
                 probs = T.channel_softmax(logits)
-                loss = T.pixel_cross_entropy(probs, labels, cfg.ignore_label)
+                loss = T.pixel_cross_entropy(probs, labels, IGNORE_LABEL)
             backward(graph, loss)
             # stop before the update: a NaN/inf step would poison every parameter
             grads = (t.grad for t in params if t.grad is not None)
@@ -207,8 +193,6 @@ def train_generation(
             history.step_loss.append(float(loss.data))
             step += 1
         if val:
-            history.epoch_val_miou.append(
-                evaluate_miou(g, val, condition_provider, cfg.ignore_label)
-            )
+            history.epoch_val_miou.append(evaluate_miou(g, val, condition_provider))
     history.final_lr = lr
     return history

@@ -134,14 +134,15 @@ def test_prediction_similarity_matrix_properties():
     data = _toy_dataset()
     g1 = build_generation(BackboneConfig(layer_channels=(4, 6, 8)), seed=1)
     g2 = build_generation(BackboneConfig(layer_channels=(4, 6, 8)), seed=2)
-    members = [lambda im, g=g: predict(g, im).probs for g in (g1, g2, g1)]
-    mat = prediction_similarity_matrix(members, data)
+    images = np.stack([s.image for s in data])
+    maps = [predict(g, images).probs for g in (g1, g2, g1)]
+    mat = prediction_similarity_matrix(maps)
     np.testing.assert_allclose(np.diag(mat), 1.0)
     np.testing.assert_allclose(mat, mat.T)
     assert np.all(mat >= -1 - 1e-9) and np.all(mat <= 1 + 1e-9)
     assert mat[0, 2] == pytest.approx(1.0)  # identical members
     with pytest.raises(ValueError):
-        prediction_similarity_matrix(members[:1], data)
+        prediction_similarity_matrix(maps[:1])
 
 
 def test_parameter_similarity_matrix():

@@ -149,32 +149,28 @@ def _sweep_inputs(seed=0, n=4):
         )
         for _ in range(n)
     ]
-    logits = {id(s): rng.normal(0, 4, size=(3, 8, 8)).astype(np.float32) for s in data}
-
-    def source(dataset):
-        return [logits[id(s)] for s in dataset]
-
-    return data, source
+    logits = rng.normal(0, 4, size=(n, 3, 8, 8)).astype(np.float32)
+    return logits, [s.label for s in data]
 
 
 def test_sweep_singleton_grid():
-    data, source = _sweep_inputs()
-    report = temperature_sweep(source, data, CalibrationConfig(temperature_grid=(1.0,)))
+    logits, labels = _sweep_inputs()
+    report = temperature_sweep(logits, labels, CalibrationConfig(temperature_grid=(1.0,)))
     assert report.best_temperature == 1.0
     assert len(report.per_temperature_ece) == 1
 
 
 def test_sweep_best_not_worse_than_identity():
-    data, source = _sweep_inputs(seed=5)
+    logits, labels = _sweep_inputs(seed=5)
     cfg = CalibrationConfig(temperature_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0))
-    report = temperature_sweep(source, data, cfg)
+    report = temperature_sweep(logits, labels, cfg)
     eces = dict(report.per_temperature_ece)
     assert eces[report.best_temperature] <= eces[1.0]
     assert len(report.bins) == cfg.num_bins
 
 
 def test_sweep_requires_identity_in_grid():
-    data, source = _sweep_inputs()
+    logits, labels = _sweep_inputs()
     with pytest.raises(ValueError):
-        temperature_sweep(source, data, CalibrationConfig(temperature_grid=(2.0, 4.0)))
+        temperature_sweep(logits, labels, CalibrationConfig(temperature_grid=(2.0, 4.0)))
 

@@ -271,8 +271,24 @@ def test_checkpoint_copied_alone_evaluates_like_the_original(workspace, tmp_path
         report = str(tmp_path / f"{i}.csv")
         args = ["eval", "--chain", "--ckpt", workspace["g0"], "--ckpt", ckpt, "--data", workspace["data"]]
         assert run(args + ["--report", report]) == 0
-        rows.append([row[1:] for row in read_csv(report)[1]])  # run_id hashes the paths
+        rows.append(read_csv(report)[1])  # run_id hashes the checkpoint bytes, not the paths
     assert rows[0] == rows[1]
+
+
+def test_empty_val_split_exits_2_from_every_evaluation_command(workspace, tmp_path, capsys):
+    spec = tmp_path / "noval.cfg"
+    spec.write_text(BASE_CFG.replace("data.val_count = 4", "data.val_count = 0"))
+    data = str(tmp_path / "noval")
+    assert run(["gen-data", "--spec", str(spec), "--out", data]) == 0
+    two = ["--ckpt", workspace["g0"], "--ckpt", workspace["g1"], "--data", data]
+    for cmd in (
+        ["eval"], ["eval", "--chain"], ["ensemble", "--mode", "sim"], ["ensemble", "--mode", "seq"],
+        ["calibrate"], ["diversity"], ["fourcase"],
+    ):
+        report = tmp_path / "r.csv"
+        assert run(cmd + two + ["--report", str(report)]) == 2, cmd
+        assert "empty split" in capsys.readouterr().err
+        assert not report.exists()
 
 
 @pytest.mark.parametrize("val_count", [-3, 13])

@@ -46,7 +46,7 @@ def test_parse_comments_and_values():
 
 
 def test_unknown_key_rejected():
-    for text in ("data.bogus = 1", "ensemble.n = 2"):
+    for text in ("data.bogus = 1", "ensemble.n = 2", "train.ignore_label = 255"):
         with pytest.raises(ConfigFileError, match="unknown key"):
             parse_config_text(text)
 

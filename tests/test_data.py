@@ -284,6 +284,18 @@ def test_generation_checkpoint_roundtrip(tmp_path):
     assert back.generation_index == 2
 
 
+def test_generation_from_checkpoint_does_not_alias_the_source():
+    # checkpoint_from_generation shares its arrays with the live generation
+    g = build_generation(BackboneConfig(layer_channels=(4, 6, 8)), seed=4)
+    back = generation_from_checkpoint(checkpoint_from_generation(g))
+    for name, t in g.parameters.items():
+        assert back.parameters[name].data.dtype == np.float32
+        assert not np.shares_memory(back.parameters[name].data, t.data), name
+    before = flatten_parameters(g)
+    back.parameters["head.weight"].data += 1.0
+    np.testing.assert_array_equal(flatten_parameters(g), before)
+
+
 def test_checkpoint_architecture_mismatch(tmp_path):
     g = build_generation(BackboneConfig(layer_channels=(4, 6, 8)), seed=1)
     ckpt = checkpoint_from_generation(g)

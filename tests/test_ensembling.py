@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqens.data import DatasetSpec, generate_dataset
+from seqens.data import DatasetSpec, _batched_probs, generate_dataset
 from seqens.ensembling import (
     Chain,
     CombineStrategy,
@@ -12,10 +12,9 @@ from seqens.ensembling import (
     chain_provider,
     combine,
     forest_predict,
-    train_chain,
 )
 from seqens.nets import BackboneConfig, build_generation, flatten_parameters, predict
-from seqens.training import AugmentConfig, TrainConfig
+from seqens.training import AugmentConfig, TrainConfig, train_generation
 
 SMALL = BackboneConfig(layer_channels=(4, 6, 8))
 SMALL_ADON = BackboneConfig(
@@ -214,48 +213,11 @@ def test_forest_predict_matches_manual_combination():
         [chain_predict(c, img)[-1].probs for c in (c1, c2)], CombineStrategy("uniform")
     )
     np.testing.assert_allclose(bundle.probs, manual, atol=1e-7)
-    np.testing.assert_array_equal(bundle.labels, np.argmax(manual, axis=1))
     assert bundle.logits.shape == bundle.probs.shape
 
 
 # ---------------------------------------------------------------------------
-# chain / generalized training
-
-
-def _tiny_train_setup():
-    data = generate_dataset(DatasetSpec(count=8, height=16, width=16, seed=13))
-    cfg = lambda seed: TrainConfig(
-        epochs=1, batch_size=4, seed=seed, augment=AugmentConfig(crop=(16, 16))
-    )
-    return data[:6], data[6:], cfg
-
-
-def test_train_chain_wires_providers_and_freezes_prefix():
-    train, val, cfg = _tiny_train_setup()
-    chain = train_chain(train, val, [cfg(1), cfg(2)], [SMALL, SMALL_ADON])
-    assert len(chain.generations) == 2
-    assert len(chain.histories) == 2
-    # head must equal a standalone run with the same config: proves it was
-    # trained before (and unaffected by) the second generation
-    from seqens.training import train_generation
-
-    solo = build_generation(SMALL, seed=1)
-    train_generation(solo, train, val, cfg(1))
-    np.testing.assert_array_equal(
-        flatten_parameters(chain.generations[0]), flatten_parameters(solo)
-    )
-    with pytest.raises(ValueError):
-        train_chain(train, val, [cfg(1)], [SMALL, SMALL_ADON])
-    with pytest.raises(ValueError):
-        train_chain(train, val, [], [])
-
-
-def test_train_chain_reproducible():
-    train, val, cfg = _tiny_train_setup()
-    a = train_chain(train, val, [cfg(3), cfg(4)], [SMALL, SMALL_ADON])
-    b = train_chain(train, val, [cfg(3), cfg(4)], [SMALL, SMALL_ADON])
-    for ga, gb in zip(a.generations, b.generations):
-        np.testing.assert_array_equal(flatten_parameters(ga), flatten_parameters(gb))
+# chain training and batched inference
 
 
 def test_chain_provider_runs_frozen_prefix():
@@ -269,4 +231,24 @@ def test_chain_provider_runs_frozen_prefix():
     np.testing.assert_array_equal(provider(img), predict(g0, img).probs)
     with pytest.raises(ValueError, match="chain head"):
         chain_provider([g1])
+
+    # training G1 on the provider leaves every G0 parameter bit-identical
+    data = generate_dataset(DatasetSpec(count=8, height=16, width=16, seed=13))
+    before = flatten_parameters(g0)
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=2, augment=AugmentConfig(crop=(16, 16)))
+    train_generation(build_generation(SMALL_ADON, seed=2, index=1), data[:6], data[6:], cfg, provider)
+    np.testing.assert_array_equal(flatten_parameters(g0), before)
+
+
+def test_batched_probs_matches_one_whole_split_forward():
+    # 21 images: one full batch of 16, then a partial batch of 5
+    data = generate_dataset(DatasetSpec(count=21, height=16, width=16, seed=17))
+    images = np.stack([s.image for s in data])
+    g0 = build_generation(SMALL, seed=7)
+    g1 = build_generation(SMALL_ADON, seed=8, index=1)
+    g1.parameters["adon_middle.fbias.weight"].data += 0.1
+    for fn in (lambda im: predict(g0, im).probs, chain_provider([g0, g1])):
+        batched = _batched_probs(fn, data)
+        assert batched.shape == (21, 4, 16, 16)
+        np.testing.assert_array_equal(batched, fn(images))
 

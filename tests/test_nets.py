@@ -157,8 +157,7 @@ def test_predict_contracts():
     img = rand_image(n=2, h=32, w=32)
     bundle = predict(g0, img)
     np.testing.assert_allclose(bundle.probs.sum(axis=1), 1.0, atol=1e-6)
-    assert bundle.labels.shape == (2, 32, 32)
-    assert bundle.logits.shape == (2, 4, 32, 32)
+    assert bundle.probs.shape == bundle.logits.shape == (2, 4, 32, 32)
     with pytest.raises(T.ShapeError):
         predict(g0, img, rand_probs(n=2, h=32, w=32))
 
@@ -181,7 +180,7 @@ def test_predict_output_resolution_all_modes():
         idx = 0 if mode in ("none", "fixed_embedding") else 1
         g = build_generation(cfg, seed=3, index=idx)
         bundle = predict(g, img, None if mode in ("none", "fixed_embedding") else p)
-        assert bundle.labels.shape == (1, 24, 16)
+        assert bundle.probs.shape == (1, 4, 24, 16)
 
 
 def test_conditioning_sensitivity_after_update():
@@ -225,7 +224,7 @@ def test_fixed_embedding_predicts_at_any_resolution():
     assert float(emb.sum()) == pytest.approx(1.0, rel=1e-6)
     for h, w in ((16, 16), (24, 32)):
         bundle = predict(g, rand_image(n=2, h=h, w=w, seed=h))
-        assert bundle.labels.shape == (2, h, w)
+        assert bundle.probs.shape == (2, cfg.num_classes, h, w)
         assert np.all(np.isfinite(bundle.logits))
 
 
