@@ -19,8 +19,6 @@ from .analysis import (
 from .calibration import CalibrationConfig, temperature_scale, temperature_sweep
 from .data import (
     IGNORE_LABEL,
-    FormatError,
-    SpecError,
     _batched_probs,
     _write_atomic,
     _write_csv,
@@ -227,6 +225,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_diversity(args) -> int:
+    if len(args.ckpt) < 2:
+        raise UsageError("diversity needs at least two --ckpt checkpoints")
     gens = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
     pred_mat = prediction_similarity_matrix(
@@ -346,7 +346,9 @@ def run(argv: list[str]) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (FormatError, SpecError, cfgmod.ConfigFileError, FileNotFoundError, ValueError) as e:
+    # FormatError, SpecError and ConfigFileError are ValueErrors; an unreadable
+    # path (missing, a directory, no permission) is an OSError
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,23 @@ class ConfigFileError(ValueError):
     pass
 
 
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(c) for c in raw.split(","))
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(p for p in raw.split(",") if p)
+
+
+# each key's parser; the defaults live in the dataclasses the keys fill
 _KNOWN_KEYS = {
     "data.count": int,
     "data.val_count": int,
@@ -19,13 +36,13 @@ _KNOWN_KEYS = {
     "data.num_classes": int,
     "data.shapes_min": int,
     "data.shapes_max": int,
-    "data.shape_kinds": str,
+    "data.shape_kinds": _names,
     "data.noise_std": float,
-    "data.texture": bool,
+    "data.texture": _bool,
     "data.seed": int,
-    "arch.layer_channels": str,
+    "arch.layer_channels": _ints,
     "arch.adon_latent": int,
-    "arch.adon_placements": str,
+    "arch.adon_placements": _names,
     "arch.conditioning": str,
     "train.epochs": int,
     "train.batch_size": int,
@@ -34,7 +51,6 @@ _KNOWN_KEYS = {
     "train.weight_decay": float,
     "train.poly_power": float,
     "train.seed": int,
-    "train.init_strategy": str,
     "train.warmstart_checkpoint": str,
     "train.flip_prob": float,
     "train.resize_lo": float,
@@ -67,79 +83,55 @@ def load_config(path: str) -> dict[str, str]:
         return parse_config_text(f.read())
 
 
-def _get(cfg: dict[str, str], key: str, default):
+def _get(cfg: dict[str, str], key: str, default=None):
     if key not in cfg:
         return default
-    kind = _KNOWN_KEYS[key]
-    raw = cfg[key]
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigFileError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        return kind(raw)
+        return _KNOWN_KEYS[key](cfg[key])
     except ValueError as e:
         raise ConfigFileError(f"{key}: {e}") from e
 
 
+def _fields(cfg: dict[str, str], section: str, names: str) -> dict:
+    """Arguments for the `section.name` keys the file sets; the dataclass fills the rest."""
+    return {n: _get(cfg, f"{section}.{n}") for n in names.split() if f"{section}.{n}" in cfg}
+
+
+def _pair(cfg: dict[str, str], keys: tuple[str, str], default: tuple) -> tuple:
+    return tuple(_get(cfg, k, d) for k, d in zip(keys, default))
+
+
 def dataset_spec_from(cfg: dict[str, str]) -> DatasetSpec:
-    kinds = _get(cfg, "data.shape_kinds", "rectangle,disk,triangle")
     return DatasetSpec(
-        count=_get(cfg, "data.count", 300),
-        height=_get(cfg, "data.height", 64),
-        width=_get(cfg, "data.width", 64),
-        num_classes=_get(cfg, "data.num_classes", 4),
-        shapes_per_image=(_get(cfg, "data.shapes_min", 2), _get(cfg, "data.shapes_max", 4)),
-        shape_kinds=tuple(k for k in kinds.split(",") if k),
-        noise_std=_get(cfg, "data.noise_std", 0.06),
-        texture=_get(cfg, "data.texture", True),
-        seed=_get(cfg, "data.seed", 0),
+        shapes_per_image=_pair(cfg, ("data.shapes_min", "data.shapes_max"), DatasetSpec.shapes_per_image),
+        **_fields(cfg, "data", "count height width num_classes shape_kinds noise_std texture seed"),
     )
 
 
 def val_count_from(cfg: dict[str, str]) -> int:
-    spec = dataset_spec_from(cfg)
-    return _get(cfg, "data.val_count", spec.count // 3)
+    return _get(cfg, "data.val_count", dataset_spec_from(cfg).count // 3)
 
 
 def backbone_config_from(cfg: dict[str, str]) -> BackboneConfig:
-    channels = tuple(
-        int(c) for c in _get(cfg, "arch.layer_channels", "16,32,64").split(",")
-    )
-    placements = tuple(
-        p for p in _get(cfg, "arch.adon_placements", "").split(",") if p
-    )
     return BackboneConfig(
-        num_classes=_get(cfg, "data.num_classes", 4),
-        layer_channels=channels,
-        adon_latent=_get(cfg, "arch.adon_latent", 32),
-        adon_placements=placements,
-        conditioning=_get(cfg, "arch.conditioning", "none"),
+        num_classes=_get(cfg, "data.num_classes", DatasetSpec.num_classes),
+        **_fields(cfg, "arch", "layer_channels adon_latent adon_placements conditioning"),
     )
 
 
 def train_config_from(cfg: dict[str, str]) -> TrainConfig:
+    # crops follow the image size unless set
+    image_hw = _pair(cfg, ("data.height", "data.width"), (DatasetSpec.height, DatasetSpec.width))
     aug = AugmentConfig(
-        flip_prob=_get(cfg, "train.flip_prob", 0.5),
-        resize_range=(_get(cfg, "train.resize_lo", 0.5), _get(cfg, "train.resize_hi", 2.0)),
-        crop=(
-            _get(cfg, "train.crop_h", _get(cfg, "data.height", 64)),
-            _get(cfg, "train.crop_w", _get(cfg, "data.width", 64)),
-        ),
+        resize_range=_pair(cfg, ("train.resize_lo", "train.resize_hi"), AugmentConfig.resize_range),
+        crop=_pair(cfg, ("train.crop_h", "train.crop_w"), image_hw),
+        **_fields(cfg, "train", "flip_prob"),
     )
     return TrainConfig(
-        epochs=_get(cfg, "train.epochs", 40),
-        batch_size=_get(cfg, "train.batch_size", 8),
-        lr0=_get(cfg, "train.lr0", 0.05),
-        momentum=_get(cfg, "train.momentum", 0.9),
-        weight_decay=_get(cfg, "train.weight_decay", 5e-4),
-        poly_power=_get(cfg, "train.poly_power", 0.9),
-        seed=_get(cfg, "train.seed", 0),
-        init_strategy=_get(cfg, "train.init_strategy", "random"),
-        warmstart_checkpoint=_get(cfg, "train.warmstart_checkpoint", None),
         augment=aug,
+        **_fields(
+            cfg, "train", "epochs batch_size lr0 momentum weight_decay poly_power seed warmstart_checkpoint"
+        ),
     )
 
 

@@ -38,6 +38,8 @@ class Chain:
         for i, g in enumerate(self.generations[1:], start=1):
             if g.config.conditioning == "none":
                 raise ValueError(f"generation {i} must be conditioned")
+        if self.self_loops and not self.generations[-1].config.takes_map:
+            raise ValueError("self-refinement needs a conditioned tail generation")
 
 
 @dataclass
@@ -93,8 +95,6 @@ def chain_predict(chain: Chain, image) -> list[PredictionBundle]:
     for g in chain.generations[1:]:
         bundles.append(predict(g, image, bundles[-1].probs))
     tail = chain.generations[-1]
-    if chain.self_loops and not tail.config.takes_map:
-        raise ValueError("self-refinement needs a conditioned tail generation")
     for _ in range(chain.self_loops):
         bundles.append(predict(tail, image, bundles[-1].probs))
     return bundles

@@ -114,10 +114,7 @@ def recipe_diversity_init(out_dir: str):
     warm_members = []
     for s in seeds:
         g = build_generation(_arch("none"), seed=s, index=0)
-        cfg = _train_cfg(
-            s, epochs=3, init_strategy="warmstart", warmstart_checkpoint=base_ckpt
-        )
-        train_generation(g, train, val, cfg)
+        train_generation(g, train, val, _train_cfg(s, epochs=3, warmstart_checkpoint=base_ckpt))
         warm_members.append(g)
 
     rows = []

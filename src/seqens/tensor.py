@@ -497,8 +497,9 @@ class LrSchedule:
     power: float = 0.9
 
     def __post_init__(self):
-        if self.lr0 <= 0 or self.total_steps <= 0 or self.power <= 0:
-            raise ValueError("LrSchedule fields must be positive")
+        # lr0 = 0 is a schedule that never moves the weights
+        if self.lr0 < 0 or self.total_steps <= 0 or self.power <= 0:
+            raise ValueError("LrSchedule needs lr0 >= 0 and positive total_steps and power")
 
 
 def poly_lr_at(sched: LrSchedule, step: int) -> float:

@@ -1,4 +1,4 @@
-"""Augmentation, initialization strategies and the per-generation training loop."""
+"""Augmentation, warm starts and the per-generation training loop."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .analysis import segmentation_metrics
 from .data import IGNORE_LABEL, Checkpoint, Sample, _batched_probs, load_checkpoint
-from .nets import Generation, backbone_param_names, build_generation, forward_logits
+from .nets import Generation, backbone_param_names, forward_logits
 from .tensor import Graph, LrSchedule, SgdMomentum, Tensor, backward, poly_lr_at
 
 
@@ -37,16 +37,9 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     poly_power: float = 0.9
-    seed: int = 0
-    init_strategy: str = "random"  # or "warmstart"
-    warmstart_checkpoint: str | None = None
+    seed: int = 0  # keys data order and augmentation; the weights come with g
+    warmstart_checkpoint: Checkpoint | str | None = None  # a Checkpoint or its path
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-
-    def __post_init__(self):
-        if self.init_strategy not in ("random", "warmstart"):
-            raise ValueError(f"unknown init strategy {self.init_strategy!r}")
-        if (self.init_strategy == "warmstart") != (self.warmstart_checkpoint is not None):
-            raise ValueError("warmstart_checkpoint required iff strategy is warmstart")
 
 
 @dataclass
@@ -88,26 +81,6 @@ def augment_sample(
     )
 
 
-def init_parameters(
-    g: Generation,
-    strategy: str,
-    warmstart: Checkpoint | None = None,
-    seed: int = 0,
-) -> None:
-    """random: full reseed. warmstart: copy backbone, reseed head/blocks/embedding."""
-    if (strategy == "warmstart") != (warmstart is not None):
-        raise ValueError("warmstart checkpoint required iff strategy is warmstart")
-    fresh = build_generation(g.config, seed=seed, index=g.generation_index)
-    for name, t in g.parameters.items():
-        t.data = fresh.parameters[name].data.copy()
-    if strategy == "warmstart":
-        for name in backbone_param_names(g.config):
-            src = warmstart.tensors.get(name)
-            if src is None or src.shape != g.parameters[name].data.shape:
-                raise ValueError(f"warmstart checkpoint incompatible at {name!r}")
-            g.parameters[name].data = np.array(src, dtype=np.float32)
-
-
 def evaluate_miou(
     g: Generation, dataset: list[Sample], provider=None, ignore_label: int | None = IGNORE_LABEL
 ) -> float:
@@ -127,7 +100,11 @@ def train_generation(
     cfg: TrainConfig,
     condition_provider=None,
 ) -> TrainHistory:
-    """SGD+momentum under a polynomial LR schedule; deterministic given cfg.seed.
+    """Train `g` in place: SGD+momentum under a polynomial LR schedule.
+
+    Deterministic in `g`'s weights and `cfg.seed`. The weights are `g`'s own,
+    as `build_generation` made them; a warm start first copies the backbone
+    from `cfg.warmstart_checkpoint`, keeping `g`'s head, blocks and embedding.
 
     condition_provider maps a batch of images (N,3,H,W) to a probability map
     (N,C,H,W); it must be frozen — no gradients reach it because its output
@@ -140,14 +117,15 @@ def train_generation(
     if not train:
         raise ValueError("empty training set")
 
-    init_ckpt = None
-    if cfg.init_strategy == "warmstart":
-        init_ckpt = (
-            cfg.warmstart_checkpoint
-            if isinstance(cfg.warmstart_checkpoint, Checkpoint)
-            else load_checkpoint(cfg.warmstart_checkpoint)
-        )
-    init_parameters(g, cfg.init_strategy, init_ckpt, seed=cfg.seed)
+    warm = cfg.warmstart_checkpoint
+    if warm is not None:
+        if not isinstance(warm, Checkpoint):
+            warm = load_checkpoint(warm)
+        for name in backbone_param_names(g.config):
+            src = warm.tensors.get(name)
+            if src is None or src.shape != g.parameters[name].data.shape:
+                raise ValueError(f"warmstart checkpoint incompatible at {name!r}")
+            g.parameters[name].data = np.array(src, dtype=np.float32)
 
     rng = np.random.Generator(
         np.random.Philox(key=np.array([np.uint64(cfg.seed), np.uint64(0x5E9)], dtype=np.uint64))
@@ -155,10 +133,7 @@ def train_generation(
     params = g.trainable()
     opt = SgdMomentum(params, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     steps_per_epoch = (len(train) + cfg.batch_size - 1) // cfg.batch_size
-    # LrSchedule requires lr0 > 0; a zero rate means "evaluate but don't move"
-    sched = None
-    if cfg.lr0 != 0.0:
-        sched = LrSchedule(cfg.lr0, max(1, cfg.epochs * steps_per_epoch), cfg.poly_power)
+    sched = LrSchedule(cfg.lr0, max(1, cfg.epochs * steps_per_epoch), cfg.poly_power)
 
     history = TrainHistory()
     step = 0
@@ -178,7 +153,7 @@ def train_generation(
             if condition_provider is not None:
                 cond = Tensor(condition_provider(images))  # frozen: plain constant
 
-            lr = 0.0 if sched is None else poly_lr_at(sched, step)
+            lr = poly_lr_at(sched, step)
             opt.zero_grad()
             with Graph() as graph:
                 logits = forward_logits(g, Tensor(images), cond)

@@ -561,7 +561,7 @@ def test_criterion_08_diversity_trend(capfd, full_task, trend_groups):
             g = build_generation(FULL_ARCH, seed=seed, index=0)
             train_generation(
                 g, train, val,
-                _full_cfg(seed, epochs=2, init_strategy="warmstart", warmstart_checkpoint=ck),
+                _full_cfg(seed, epochs=2, warmstart_checkpoint=ck),
             )
             warm.append(g)
         for members, preds, params in (

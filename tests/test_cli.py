@@ -239,6 +239,9 @@ def test_usage_errors_exit_1(workspace, capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
     assert run(["reproduce", "--name", "nonexistent", "--out", str(tmp_path)]) == 1
     assert run(["fourcase", "--ckpt", workspace["g0"], "--data", workspace["data"], "--report", str(tmp_path / "x.csv")]) == 1
+    # refused before any checkpoint or split loads
+    assert run(["diversity", "--ckpt", workspace["g0"], "--data", workspace["data"], "--report", str(tmp_path / "x.csv")]) == 1
+    assert "two --ckpt" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(workspace, capsys, tmp_path):
@@ -261,6 +264,19 @@ def test_data_errors_exit_2(workspace, capsys, tmp_path):
     cut.write_bytes(open(workspace["g0"], "rb").read()[:40])
     assert run(["eval", "--ckpt", str(cut), "--data", workspace["data"], "--report", str(tmp_path / "r.csv")]) == 2
     assert "checkpoint metadata" in capsys.readouterr().err
+
+
+def test_unreadable_path_exits_2_without_a_traceback(workspace, tmp_path, capsys):
+    folder = str(tmp_path)  # a directory where a file belongs
+    eval_args = ["eval", "--data", workspace["data"]]
+    for argv in (
+        eval_args + ["--ckpt", folder, "--report", str(tmp_path / "r.csv")],
+        eval_args + ["--ckpt", workspace["g0"], "--report", folder],
+        ["gen-data", "--spec", folder, "--out", str(tmp_path / "d")],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_checkpoint_copied_alone_evaluates_like_the_original(workspace, tmp_path):

@@ -9,6 +9,9 @@ from seqens.config import (
     train_config_from,
     val_count_from,
 )
+from seqens.data import DatasetSpec
+from seqens.nets import BackboneConfig
+from seqens.training import TrainConfig
 
 
 def test_empty_text_gives_all_defaults():
@@ -22,6 +25,8 @@ def test_empty_text_gives_all_defaults():
     tcfg = train_config_from(cfg)
     assert (tcfg.epochs, tcfg.batch_size, tcfg.lr0) == (40, 8, 0.05)
     assert tcfg.augment.crop == (64, 64)
+    # every default is the dataclass's own
+    assert (spec, arch, tcfg) == (DatasetSpec(), BackboneConfig(), TrainConfig())
 
 
 def test_parse_comments_and_values():
@@ -46,7 +51,9 @@ def test_parse_comments_and_values():
 
 
 def test_unknown_key_rejected():
-    for text in ("data.bogus = 1", "ensemble.n = 2", "train.ignore_label = 255"):
+    for text in (
+        "data.bogus = 1", "ensemble.n = 2", "train.ignore_label = 255", "train.init_strategy = warmstart"
+    ):
         with pytest.raises(ConfigFileError, match="unknown key"):
             parse_config_text(text)
 

@@ -200,8 +200,8 @@ def test_self_loops_counts_and_s0_bit_identity():
     np.testing.assert_array_equal(
         looped[2].probs, predict(g1, img, looped[1].probs).probs
     )
-    with pytest.raises(ValueError):
-        chain_predict(Chain([g0], self_loops=1), img)
+    with pytest.raises(ValueError, match="self-refinement"):
+        Chain([g0], self_loops=1)  # refused when built, before any forward
 
 
 def test_forest_predict_matches_manual_combination():
