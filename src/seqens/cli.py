@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import os
 import sys
@@ -105,6 +106,21 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _check_writable(path: str | None, is_dir: bool = False) -> None:
+    """Raise the OSError that writing `path` would raise, before anything loads or runs."""
+    if path is None:
+        return
+    if os.path.exists(path) and os.path.isdir(path) != is_dir:
+        code = errno.ENOTDIR if is_dir else errno.EISDIR
+        raise OSError(code, os.strerror(code), path)
+    base = os.path.abspath(path if is_dir else os.path.dirname(os.path.abspath(path)))
+    while not os.path.exists(base):  # the writer creates the missing directories below it
+        base = os.path.dirname(base)
+    if not os.path.isdir(base) or not os.access(base, os.W_OK):
+        code = errno.EACCES if os.path.isdir(base) else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), base)
+
+
 def _load_generations(paths: list[str]):
     return [generation_from_checkpoint(load_checkpoint(p)) for p in paths]
 
@@ -140,6 +156,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_writable(args.report)
+    _check_writable(args.dump, is_dir=True)
     gens = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
     num_classes = gens[0].config.num_classes
@@ -166,6 +184,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    _check_writable(args.report)
+    _check_writable(args.dump, is_dir=True)
     gens = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
     num_classes = gens[0].config.num_classes
@@ -211,6 +231,7 @@ def _calibration_rows(report, num_bins):
 
 
 def cmd_calibrate(args) -> int:
+    _check_writable(args.report)
     gens = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
     grid = tuple(sorted(float(t) for t in args.grid.split(",")))
@@ -227,6 +248,7 @@ def cmd_calibrate(args) -> int:
 def cmd_diversity(args) -> int:
     if len(args.ckpt) < 2:
         raise UsageError("diversity needs at least two --ckpt checkpoints")
+    _check_writable(args.report)
     gens = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
     pred_mat = prediction_similarity_matrix(
@@ -244,12 +266,18 @@ def cmd_diversity(args) -> int:
 def cmd_fourcase(args) -> int:
     if len(args.ckpt) != 2:
         raise UsageError("fourcase needs exactly two --ckpt checkpoints")
+    _check_writable(args.report)
     g0, g1 = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
-    p1_fn = chain_provider([g0, g1]) if g1.config.takes_map else lambda im: predict(g1, im).probs
-    l0 = _batched_probs(lambda im: predict(g0, im).probs, val).argmax(axis=1)
-    l1 = _batched_probs(p1_fn, val).argmax(axis=1)
-    table = four_case_table(l0, l1, [s.label for s in val], IGNORE_LABEL)
+    chain = Chain([g0, g1]) if g1.config.takes_map else None
+
+    def stage_labels(im):
+        # a chain's first stage is G0's own forward, so G1 reuses the map G0's labels come from
+        bundles = chain_predict(chain, im) if chain else [predict(g, im) for g in (g0, g1)]
+        return np.stack([b.probs.argmax(axis=1) for b in bundles], axis=1)
+
+    labels = _batched_probs(stage_labels, val)
+    table = four_case_table(labels[:, 0], labels[:, 1], [s.label for s in val], IGNORE_LABEL)
     rows = [
         [case, str(table.counts[case]), fmt(table.fractions[case])]
         for case in ("both_correct", "g0_only", "g1_only", "both_wrong")

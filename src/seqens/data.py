@@ -7,9 +7,14 @@ and parallelism cannot change the data.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,14 +315,83 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     _write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
+@functools.cache
+def _openblas_threads():
+    """(getter, setter) of the thread count of numpy's bundled OpenBLAS, or None without it."""
+    try:
+        libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))
+        lib = ctypes.CDLL(libs[0])  # the copy numpy has loaded already
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _split_workers() -> int:
+    """How many slices a batch is cut into: one per CPU this process may run on."""
+    if _openblas_threads() is None or not hasattr(os, "sched_getaffinity"):  # not on every OS
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _SliceState(threading.local):
+    active = False  # this thread is running a slice of a split batch
+
+
+_POOL: ThreadPoolExecutor | None = None  # runs every slice but the first; built on first use
+_SLICE = _SliceState()
+
+
+def _run_slice(fn, images):
+    _SLICE.active = True
+    try:
+        return fn(images)
+    finally:
+        _SLICE.active = False
+
+
+def _run_split(fn, batch: np.ndarray, workers: int) -> np.ndarray:
+    """`fn` over one contiguous slice of `batch` per worker; the calling thread runs the first."""
+    bounds = np.linspace(0, len(batch), min(workers, len(batch)) + 1).astype(int)
+    slices = [batch[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    futures = [_POOL.submit(_run_slice, fn, s) for s in slices[1:]]
+    try:
+        first = _run_slice(fn, slices[0])
+    finally:
+        wait(futures)  # no slice outlives its split, even when the first one raised
+    return np.concatenate([first] + [f.result() for f in futures])
+
+
 def _batched_probs(fn, dataset, batch_size=16) -> np.ndarray:
-    """Run `fn` (image batch -> per-image maps) over the split in batches; one array, image on axis 0."""
+    """Run `fn` (image batch -> per-image maps) over the split in batches; one array, image on axis 0.
+
+    Each batch is cut into one contiguous slice per CPU of the process's
+    affinity set, run on the calling thread and a pool of threads, with BLAS
+    on one thread meanwhile. An image's maps do not depend on its batch, so
+    the result is the serial one bit for bit. A call from inside a slice runs
+    serially: the pool's threads may all be busy with its caller's slices.
+    """
+    global _POOL
     if not dataset:
         raise FormatError("empty split: no samples to run the model over")
-    return np.concatenate([
-        fn(np.stack([s.image for s in dataset[start : start + batch_size]]))
+    workers = 1 if _SLICE.active else _split_workers()
+    batches = (
+        np.stack([s.image for s in dataset[start : start + batch_size]])
         for start in range(0, len(dataset), batch_size)
-    ])
+    )
+    if workers == 1:
+        return np.concatenate([fn(b) for b in batches])
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="seqens-split")
+    get, set_ = _openblas_threads()
+    blas_threads = get()
+    set_(1)
+    try:
+        return np.concatenate([_run_split(fn, b, workers) for b in batches])
+    finally:
+        set_(blas_threads)
 
 
 # ---------------------------------------------------------------------------

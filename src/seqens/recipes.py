@@ -51,9 +51,9 @@ def _arch(conditioning: str = "none") -> BackboneConfig:
     return BackboneConfig(conditioning=conditioning, adon_placements=placements)
 
 
-def _train_g0(train, val, seed: int):
+def _train_g0(train, seed: int):
     g = build_generation(_arch("none"), seed=seed, index=0)
-    train_generation(g, train, val, _train_cfg(seed))
+    train_generation(g, train, [], _train_cfg(seed))  # no val pass: nothing reads the history
     return g
 
 
@@ -69,12 +69,12 @@ def recipe_seq_vs_sim(out_dir: str):
     """Median-free single-run comparison of SIM-ENS and SEQ-ENS for N in 1..4."""
     seeds = [101, 102, 103, 104]
     train, val, _ = _task()
-    members = [_train_g0(train, val, s) for s in seeds]
+    members = [_train_g0(train, s) for s in seeds]
 
     chain_gens = [members[0]]
     for i, seed in enumerate(seeds[1:], start=1):
         g = build_generation(_arch("adon"), seed=seed, index=i)
-        train_generation(g, train, val, _train_cfg(seed), chain_provider(chain_gens))
+        train_generation(g, train, [], _train_cfg(seed), chain_provider(chain_gens))
         chain_gens.append(g)
 
     rows = []
@@ -95,7 +95,7 @@ def recipe_seq_vs_sim(out_dir: str):
 def recipe_ece_sweep(out_dir: str):
     """ECE across a temperature grid for a single trained model."""
     train, val, _ = _task()
-    g = _train_g0(train, val, seed=201)
+    g = _train_g0(train, seed=201)
     cfg = CalibrationConfig(num_bins=10, temperature_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0))
     logits = _batched_probs(lambda im: predict(g, im).logits, val)
     report = temperature_sweep(logits, [s.label for s in val], cfg, IGNORE_LABEL)
@@ -108,13 +108,13 @@ def recipe_diversity_init(out_dir: str):
     """Member similarity under random vs warm-start initialization."""
     seeds = [301, 302, 303]
     train, val, _ = _task()
-    random_members = [_train_g0(train, val, s) for s in seeds]
+    random_members = [_train_g0(train, s) for s in seeds]
 
-    base_ckpt = checkpoint_from_generation(_train_g0(train, val, seed=300))
+    base_ckpt = checkpoint_from_generation(_train_g0(train, seed=300))
     warm_members = []
     for s in seeds:
         g = build_generation(_arch("none"), seed=s, index=0)
-        train_generation(g, train, val, _train_cfg(s, epochs=3, warmstart_checkpoint=base_ckpt))
+        train_generation(g, train, [], _train_cfg(s, epochs=3, warmstart_checkpoint=base_ckpt))
         warm_members.append(g)
 
     rows = []

@@ -12,6 +12,7 @@ finite-difference oracle is not limited by single precision.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,19 +74,26 @@ class Graph:
         self.consumed = False
 
     def __enter__(self) -> "Graph":
-        _GRAPH_STACK.append(self)
+        _GRAPH_STACK.graphs.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _GRAPH_STACK.pop()
+        popped = _GRAPH_STACK.graphs.pop()
         assert popped is self
 
 
-_GRAPH_STACK: list[Graph] = []
+class _GraphStack(threading.local):
+    """One stack per thread: an op records on a tape its own thread opened, never another's."""
+
+    def __init__(self):
+        self.graphs: list[Graph] = []
+
+
+_GRAPH_STACK = _GraphStack()
 
 
 def _active_graph() -> Graph | None:
-    return _GRAPH_STACK[-1] if _GRAPH_STACK else None
+    return _GRAPH_STACK.graphs[-1] if _GRAPH_STACK.graphs else None
 
 
 def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
@@ -169,8 +177,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, x.dtype.type(0)))
-    mask = x.data > 0  # subgradient at 0 is 0
-    return _record(out, (x,), lambda g: (g * mask,))
+    return _record(out, (x,), lambda g: (g * (x.data > 0),))  # subgradient at 0 is 0
 
 
 def affine_modulate(x: Tensor, sigma: Tensor, beta: Tensor) -> Tensor:

@@ -140,18 +140,18 @@ def trend_groups(full_task):
     for seed in TREND_SEEDS:
         t0 = time.time()
         g0 = build_generation(FULL_ARCH, seed=seed, index=0)
-        train_generation(g0, train, val, _full_cfg(seed))
+        train_generation(g0, train, [], _full_cfg(seed))
         m1 = build_generation(FULL_ARCH, seed=seed + 1, index=0)
-        train_generation(m1, train, val, _full_cfg(seed + 1))
+        train_generation(m1, train, [], _full_cfg(seed + 1))
         g1 = build_generation(FULL_ADON, seed=seed + 2, index=1)
-        train_generation(g1, train, val, _full_cfg(seed + 2), chain_provider([g0]))
+        train_generation(g1, train, [], _full_cfg(seed + 2), chain_provider([g0]))
         trend_time += time.time() - t0
         # parameter-matched control ensemble keeps the plain first member and
         # swaps only the second for a fixed-embedding model; it reuses M1's
         # seed, so backbone init and data order match and the only difference
         # is the conditioning pathway acting on a stored random map
         s1 = build_generation(FULL_FIXED, seed=seed + 1, index=0)
-        train_generation(s1, train, val, _full_cfg(seed + 1))
+        train_generation(s1, train, [], _full_cfg(seed + 1))
 
         # self-refinement tail: same init as G1 but trained on the chain's own
         # once-refined output, i.e. on the distribution it sees when self-fed
@@ -160,7 +160,7 @@ def trend_groups(full_task):
         def self_provider(images, g0=g0, g1=g1_self):
             return chain_predict(Chain([g0, g1], self_loops=1), images)[-1].probs
 
-        train_generation(g1_self, train, val, _full_cfg(seed + 2), self_provider)
+        train_generation(g1_self, train, [], _full_cfg(seed + 2), self_provider)
         self_chain = Chain([g0, g1_self])
         self_bundles = [
             chain_predict(
@@ -560,7 +560,7 @@ def test_criterion_08_diversity_trend(capfd, full_task, trend_groups):
             seed = 1200 + grp * 10 + i
             g = build_generation(FULL_ARCH, seed=seed, index=0)
             train_generation(
-                g, train, val,
+                g, train, [],
                 _full_cfg(seed, epochs=2, warmstart_checkpoint=ck),
             )
             warm.append(g)

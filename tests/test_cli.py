@@ -234,6 +234,105 @@ def test_fourcase_report(workspace, tmp_path):
     assert sum(int(r[1]) for r in rows) == 4 * 16 * 16
 
 
+def test_fourcase_runs_each_generation_once_per_image(workspace, tmp_path, monkeypatch):
+    from seqens import nets
+    from seqens.analysis import four_case_table
+    from seqens.data import generation_from_checkpoint, load_checkpoint, load_split
+    from seqens.ensembling import chain_provider
+
+    forwarded, real = [], nets.forward_logits
+
+    def counting(g, image, *args, **kwargs):
+        forwarded.append(image.shape[0])
+        return real(g, image, *args, **kwargs)
+
+    report = tmp_path / "fc.csv"
+    monkeypatch.setattr(nets, "forward_logits", counting)
+    args = ["--ckpt", workspace["g0"], "--ckpt", workspace["g1"], "--data", workspace["data"]]
+    assert run(["fourcase", *args, "--report", str(report)]) == 0
+    assert sum(forwarded) == 2 * 4  # G0 and G1, once over each of the 4 val images
+    monkeypatch.undo()
+
+    # the table of one G0 pass and a separate chain pass
+    g0, g1 = (generation_from_checkpoint(load_checkpoint(workspace[k])) for k in ("g0", "g1"))
+    val = load_split(workspace["data"], "val")
+    images = np.stack([s.image for s in val])
+    l0 = nets.predict(g0, images).probs.argmax(axis=1)
+    l1 = chain_provider([g0, g1])(images).argmax(axis=1)
+    table = four_case_table(l0, l1, [s.label for s in val], 255)
+    _, rows = read_csv(report)
+    assert {r[0]: int(r[1]) for r in rows} == table.counts
+
+
+def test_unwritable_outputs_exit_2_before_anything_loads(workspace, tmp_path, capsys, monkeypatch):
+    import seqens.cli as cli
+    from seqens import nets
+
+    events, load, forward = [], cli._load_generations, nets.forward_logits
+    monkeypatch.setattr(cli, "_load_generations", lambda paths: events.append("load") or load(paths))
+    monkeypatch.setattr(nets, "forward_logits", lambda *a, **k: events.append("forward") or forward(*a, **k))
+    folder = str(tmp_path)  # a directory where a file belongs
+    afile = tmp_path / "a_file"
+    afile.write_text("")  # a file where a directory belongs
+    two = ["--ckpt", workspace["g0"], "--ckpt", workspace["g0b"], "--data", workspace["data"]]
+    chain = ["--ckpt", workspace["g0"], "--ckpt", workspace["g1"], "--data", workspace["data"]]
+    ok = str(tmp_path / "r.csv")
+    for argv in (
+        ["eval", *two, "--report", folder],
+        ["eval", *two, "--report", str(afile / "r.csv")],
+        ["eval", "--chain", *chain, "--report", ok, "--dump", str(afile)],
+        ["ensemble", "--mode", "sim", *two, "--report", folder],
+        ["ensemble", "--mode", "sim", *two, "--report", ok, "--dump", str(afile / "sub")],
+        ["calibrate", *chain, "--report", folder],
+        ["diversity", *two, "--report", folder],
+        ["fourcase", *chain, "--report", folder],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert events == [], argv
+    assert not os.path.exists(ok)
+
+
+SPLIT_RUN = """
+import os, sys
+from seqens.cli import run
+
+cpus, g0, g0b, g1, data, out = sys.argv[1:]
+if cpus == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+chain = ["--ckpt", g0, "--ckpt", g1, "--data", data]
+for argv in (
+    ["eval", "--chain", "--self-loops", "1", *chain, "--report", out + "/chain.csv", "--dump", out + "/chain"],
+    ["calibrate", *chain, "--report", out + "/calibrate.csv"],
+    ["ensemble", "--mode", "sim", "--ckpt", g0, "--ckpt", g0b, "--data", data,
+     "--report", out + "/sim.csv", "--dump", out + "/sim"],
+):
+    assert run(argv) == 0, argv
+"""
+
+
+def test_reports_and_dumps_match_on_one_cpu_and_on_all(workspace, tmp_path):
+    import seqens
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqens.__file__)))
+    trees = []
+    for cpus in ("one", "all"):
+        out = tmp_path / cpus
+        ckpts = [workspace[k] for k in ("g0", "g0b", "g1")]
+        res = subprocess.run(
+            [sys.executable, "-c", SPLIT_RUN, cpus, *ckpts, workspace["data"], str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        trees.append({
+            os.path.relpath(os.path.join(d, f), out): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(out) for f in files
+        })
+    assert len(trees[0]) == 3 + 2 * 4  # three reports, two dumps of 4 maps
+    assert trees[0] == trees[1]
+
+
 def test_usage_errors_exit_1(workspace, capsys, tmp_path):
     assert run(["eval", "--data", workspace["data"], "--report", "r.csv"]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -1,11 +1,14 @@
 import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqens import data as D
 from seqens.data import (
     Checkpoint,
     DatasetSpec,
@@ -304,3 +307,78 @@ def test_checkpoint_architecture_mismatch(tmp_path):
     save_checkpoint(path, ckpt)
     with pytest.raises(FormatError):
         generation_from_checkpoint(load_checkpoint(path))
+
+
+# ---------------------------------------------------------------------------
+# batched inference split over the CPUs
+
+
+def _numbered(n):
+    """Samples whose images hold their own index."""
+    return [Sample(np.full((3, 2, 2), i, np.float32), np.zeros((2, 2), np.int64)) for i in range(n)]
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """A stand-in BLAS thread setting, and a split into three slices whatever the machine."""
+    threads = [4]
+    monkeypatch.setattr(D, "_openblas_threads", lambda: (lambda: threads[0], lambda k: threads.__setitem__(0, k)))
+    monkeypatch.setattr(D, "_split_workers", lambda: 3)
+    return threads
+
+
+def test_split_batches_come_back_in_image_order_from_several_threads(fake_blas, monkeypatch):
+    seen, blas_inside = set(), set()
+
+    def fn(images):
+        seen.add(threading.get_ident())
+        blas_inside.add(fake_blas[0])
+        return np.array([sum(float(v) for _ in range(200)) for v in images[:, 0, 0, 0]]) / 100
+
+    monkeypatch.setattr(D, "_split_workers", lambda: 7)  # more slices than the pool has threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = D._batched_probs(fn, _numbered(37))  # batches of 16, 16 and 5, each cut into slices
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(out, np.arange(37) * 2)
+    assert len(seen) > 1 and threading.get_ident() in seen
+    assert blas_inside == {1} and fake_blas[0] == 4
+
+
+def test_an_error_in_a_slice_propagates_unchanged_and_blas_is_restored(fake_blas):
+    boom = KeyError("slice")
+
+    def fn(images):
+        if (images[:, 0, 0, 0] == 23).any():  # the second batch's middle slice, on a pool thread
+            raise boom
+        return images[:, 0, 0, 0]
+
+    with pytest.raises(KeyError) as info:
+        D._batched_probs(fn, _numbered(32))
+    assert info.value is boom and fake_blas[0] == 4
+
+
+def test_a_call_from_inside_a_slice_runs_serially(fake_blas):
+    inner, out = _numbered(5), []
+
+    def fn(images):
+        return np.stack([D._batched_probs(lambda im: im[:, 0, 0, 0], inner)] * len(images))
+
+    # a nested split would wait on pool threads busy with its caller's slices
+    caller = threading.Thread(target=lambda: out.append(D._batched_probs(fn, _numbered(16))), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    np.testing.assert_array_equal(out[0], np.tile(np.arange(5, dtype=np.float32), (16, 1)))
+
+
+@pytest.mark.skipif(D._openblas_threads() is None, reason="numpy has no bundled OpenBLAS")
+def test_blas_thread_count_reads_the_same_before_and_after_a_split():
+    get, _ = D._openblas_threads()
+    before, inside = get(), set()
+    D._batched_probs(lambda im: (inside.add(get()), im)[1], _numbered(20))
+    assert get() == before
+    if len(os.sched_getaffinity(0)) > 1:
+        assert inside == {1}

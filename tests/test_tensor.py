@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -346,6 +347,17 @@ def test_backward_requires_scalar_from_graph():
     other = Tensor(np.array(1.0))
     with pytest.raises(GraphError):
         backward(g, other)
+
+
+def test_an_op_on_another_thread_is_not_recorded_on_this_threads_graph():
+    x = Tensor(rand((2, 3)), requires_grad=True)
+    with Graph() as g:
+        other = threading.Thread(target=T.relu, args=(x,))
+        other.start()
+        other.join(timeout=60)
+        assert not other.is_alive() and g.nodes == []
+        y = T.relu(x)
+    assert [n.out for n in g.nodes] == [y]
 
 
 # ---------------------------------------------------------------------------
