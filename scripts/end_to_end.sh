@@ -52,7 +52,7 @@ seqens eval --chain --ckpt "$OUT/g0/generation.ckpt" --ckpt "$OUT/g1/generation.
 seqens ensemble --mode sim --ckpt "$OUT/g0/generation.ckpt" \
   --ckpt "$OUT/m1/generation.ckpt" --data "$OUT/data" \
   --report "$OUT/sim_uniform.csv"
-seqens ensemble --mode seq --ckpt "$OUT/g0/generation.ckpt" \
+seqens eval --chain --ckpt "$OUT/g0/generation.ckpt" \
   --ckpt "$OUT/g1/generation.ckpt" --data "$OUT/data" \
   --report "$OUT/seq_chain.csv" --self-loops 1
 seqens calibrate --ckpt "$OUT/g0/generation.ckpt" --data "$OUT/data" \

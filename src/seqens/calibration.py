@@ -19,7 +19,7 @@ class CalibrationConfig:
         self.temperature_grid = tuple(self.temperature_grid)
         if self.num_bins < 1:
             raise ValueError("num_bins must be >= 1")
-        if any(t <= 0 for t in self.temperature_grid):
+        if not all(t > 0 for t in self.temperature_grid):  # NaN too
             raise ValueError("temperatures must be > 0")
         if list(self.temperature_grid) != sorted(self.temperature_grid):
             raise ValueError("temperature grid must be sorted ascending")
@@ -38,7 +38,7 @@ class CalibrationReport:
 
 
 def temperature_scale(logits, temperature: float) -> np.ndarray:
-    if temperature <= 0:
+    if not temperature > 0:  # NaN too
         raise ValueError("temperature must be > 0")
     t = logits if isinstance(logits, Tensor) else Tensor(np.asarray(logits))
     scaled = T.mul_scalar(t, 1.0 / temperature)

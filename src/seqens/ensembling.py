@@ -61,6 +61,9 @@ def combine(maps: list[np.ndarray], strategy: CombineStrategy) -> np.ndarray:
     shape = maps[0].shape
     if any(m.shape != shape for m in maps):
         raise ValueError("probability maps must share one shape")
+    if shape[0] > 1:
+        # every rule is per pixel: image by image gives the same bits, with a one-image float64 stack
+        return np.concatenate([combine([m[i : i + 1] for m in maps], strategy) for i in range(shape[0])])
     stack = np.stack(maps).astype(np.float64)  # (M, N, C, H, W)
 
     if strategy.kind == "uniform":
@@ -98,6 +101,11 @@ def chain_predict(chain: Chain, image) -> list[PredictionBundle]:
     for _ in range(chain.self_loops):
         bundles.append(predict(tail, image, bundles[-1].probs))
     return bundles
+
+
+def stage_labels(maps: list[np.ndarray]) -> np.ndarray:
+    """Each stage's (N, C, H, W) map as argmax labels, the stage on axis 1: (N, stages, H, W)."""
+    return np.stack([m.argmax(axis=1) for m in maps], axis=1)
 
 
 def forest_predict(forest: Forest, image, strategy: CombineStrategy | None = None) -> PredictionBundle:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .analysis import (
     mean_offdiagonal,
     parameter_similarity_matrix,
@@ -26,7 +24,7 @@ from .data import (
     fmt,
     generate_dataset,
 )
-from .ensembling import Chain, CombineStrategy, chain_predict, chain_provider, combine
+from .ensembling import Chain, CombineStrategy, chain_predict, chain_provider, combine, stage_labels
 from .nets import BLOCK_MODES, PLACEMENTS, BackboneConfig, build_generation, predict
 from .training import TrainConfig, train_generation
 
@@ -57,9 +55,9 @@ def _train_g0(train, seed: int):
     return g
 
 
-def _miou(probs, dataset, num_classes=4):
+def _miou(labels, dataset, num_classes=4):
     gts = [s.label for s in dataset]
-    return segmentation_metrics(probs.argmax(axis=1), gts, num_classes, IGNORE_LABEL).miou
+    return segmentation_metrics(labels, gts, num_classes, IGNORE_LABEL).miou
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +75,17 @@ def recipe_seq_vs_sim(out_dir: str):
         train_generation(g, train, [], _train_cfg(seed), chain_provider(chain_gens))
         chain_gens.append(g)
 
-    rows = []
-    member_probs = [_batched_probs(lambda im, g=g: predict(g, im).probs, val) for g in members]
-    # one pass over G0..G3: a chain's reported prediction is its final
-    # generation's output map, so generation n-1's map is SEQ at N = n
+    def sim_labels(im):  # SIM at N = n combines the first n members' maps
+        maps = [predict(g, im).probs for g in members]
+        return stage_labels([combine(maps[:n], CombineStrategy("uniform")) for n in range(1, 5)])
+
+    # SEQ at N = n is generation n-1's map: a chain's prediction is its final generation's map
     chain = Chain(chain_gens)
-    chain_probs = _batched_probs(
-        lambda im: np.stack([b.probs for b in chain_predict(chain, im)], axis=1), val
-    )
-    uniform = CombineStrategy("uniform")
-    for n in range(1, 5):
-        rows.append(["sim", str(n), fmt(_miou(combine(member_probs[:n], uniform), val))])
-        rows.append(["seq", str(n), fmt(_miou(chain_probs[:, n - 1], val))])
+    labels = {
+        "sim": _batched_probs(sim_labels, val),
+        "seq": _batched_probs(lambda im: stage_labels([b.probs for b in chain_predict(chain, im)]), val),
+    }
+    rows = [[mode, str(n), fmt(_miou(labels[mode][:, n - 1], val))] for n in range(1, 5) for mode in labels]
     _write_csv(os.path.join(out_dir, "seq_vs_sim.csv"), ["mode", "N", "miou"], rows)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .analysis import segmentation_metrics
 from .data import IGNORE_LABEL, Checkpoint, Sample, _batched_probs, load_checkpoint
-from .nets import Generation, backbone_param_names, forward_logits
+from .nets import Generation, backbone_param_names, forward_logits, predict
 from .tensor import Graph, LrSchedule, SgdMomentum, Tensor, backward, poly_lr_at
 
 
@@ -81,16 +81,13 @@ def augment_sample(
     )
 
 
-def evaluate_miou(
-    g: Generation, dataset: list[Sample], provider=None, ignore_label: int | None = IGNORE_LABEL
-) -> float:
+def evaluate_miou(g: Generation, dataset: list[Sample], provider=None) -> float:
     # argmax per batch: the split's labels take half the memory of its probability maps
     def labels_fn(images):
-        cond = None if provider is None else Tensor(provider(images))
-        return T.channel_softmax(forward_logits(g, Tensor(images), cond)).data.argmax(axis=1)
+        return predict(g, images, None if provider is None else provider(images)).probs.argmax(axis=1)
 
     labels = _batched_probs(labels_fn, dataset)
-    return segmentation_metrics(labels, [s.label for s in dataset], g.config.num_classes, ignore_label).miou
+    return segmentation_metrics(labels, [s.label for s in dataset], g.config.num_classes, IGNORE_LABEL).miou
 
 
 def train_generation(

@@ -74,10 +74,11 @@ def test_temperature_argmax_invariance():
 
 def test_temperature_rejects_nonpositive():
     z = np.zeros((1, 2, 1, 1), dtype=np.float32)
-    with pytest.raises(ValueError):
-        temperature_scale(z, 0.0)
-    with pytest.raises(ValueError):
-        temperature_scale(z, -1.0)
+    for t in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            temperature_scale(z, t)
+        with pytest.raises(ValueError):
+            CalibrationConfig(temperature_grid=(t, 1.0))
 
 
 def test_ece_perfect_predictions():

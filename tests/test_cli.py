@@ -152,19 +152,6 @@ def test_ensemble_modes_and_rerun_identical(workspace, tmp_path):
     header, rows = read_csv(sim)
     assert rows[0][1] == "sim" and rows[0][4] == "median" and rows[0][3] == "2"
 
-    seq = str(tmp_path / "seq.csv")
-    assert (
-        run(
-            [
-                "ensemble", "--mode", "seq", "--ckpt", workspace["g0"],
-                "--ckpt", workspace["g1"], "--data", workspace["data"], "--report", seq,
-            ]
-        )
-        == 0
-    )
-    _, rows = read_csv(seq)
-    assert rows[0][1] == "seq"
-
 
 def test_calibrate_grid(workspace, tmp_path):
     report = str(tmp_path / "cal.csv")
@@ -192,7 +179,7 @@ def test_calibrate_requires_identity_in_grid(workspace, tmp_path, capsys):
             "--grid", "2,4", "--report", report,
         ]
     )
-    assert code == 2
+    assert code == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -333,14 +320,38 @@ def test_reports_and_dumps_match_on_one_cpu_and_on_all(workspace, tmp_path):
     assert trees[0] == trees[1]
 
 
-def test_usage_errors_exit_1(workspace, capsys, tmp_path):
+def test_usage_errors_exit_1(workspace, capsys, tmp_path, monkeypatch):
+    import seqens.cli as cli
+
     assert run(["eval", "--data", workspace["data"], "--report", "r.csv"]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert run(["reproduce", "--name", "nonexistent", "--out", str(tmp_path)]) == 1
     assert run(["fourcase", "--ckpt", workspace["g0"], "--data", workspace["data"], "--report", str(tmp_path / "x.csv")]) == 1
     # refused before any checkpoint or split loads
+    loads, load = [], cli._load_generations
+    monkeypatch.setattr(cli, "_load_generations", lambda paths: loads.append(paths) or load(paths))
     assert run(["diversity", "--ckpt", workspace["g0"], "--data", workspace["data"], "--report", str(tmp_path / "x.csv")]) == 1
     assert "two --ckpt" in capsys.readouterr().err
+    one = ["--ckpt", workspace["g0"], "--data", workspace["data"]]
+    two = ["--ckpt", workspace["g1"], *one]
+    report = ["--report", str(tmp_path / "x.csv")]
+    for argv in (
+        ["calibrate", *one, "--grid", "abc"],
+        ["calibrate", *one, "--grid", "2,4"],
+        ["calibrate", *one, "--grid", "1,nan"],
+        ["calibrate", *one, "--bins", "0"],
+        ["ensemble", "--mode", "sim", *two, "--t", "0"],
+        ["eval", "--chain", *two, "--self-loops", "-1"],
+        ["eval", *two, "--self-loops", "3"],
+        # a chain is evaluated by `eval --chain`; `ensemble` has no seq mode
+        ["ensemble", "--mode", "seq", *two],
+        ["ensemble", "--mode", "sim", *two, "--self-loops", "1"],
+    ):
+        assert run(argv + report) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert loads == []
+    assert not os.path.exists(tmp_path / "x.csv")
 
 
 def test_data_errors_exit_2(workspace, capsys, tmp_path):
@@ -397,7 +408,7 @@ def test_empty_val_split_exits_2_from_every_evaluation_command(workspace, tmp_pa
     assert run(["gen-data", "--spec", str(spec), "--out", data]) == 0
     two = ["--ckpt", workspace["g0"], "--ckpt", workspace["g1"], "--data", data]
     for cmd in (
-        ["eval"], ["eval", "--chain"], ["ensemble", "--mode", "sim"], ["ensemble", "--mode", "seq"],
+        ["eval"], ["eval", "--chain"], ["ensemble", "--mode", "sim"],
         ["calibrate"], ["diversity"], ["fourcase"],
     ):
         report = tmp_path / "r.csv"

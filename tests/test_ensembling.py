@@ -25,9 +25,9 @@ SMALL_ADON = BackboneConfig(
 )
 
 
-def rand_maps(m, c=3, h=4, w=4, seed=0):
+def rand_maps(m, c=3, h=4, w=4, seed=0, n=1):
     rng = np.random.default_rng(seed)
-    raw = rng.uniform(0.05, 1.0, size=(m, 1, c, h, w))
+    raw = rng.uniform(0.05, 1.0, size=(m, n, c, h, w))
     return list((raw / raw.sum(axis=2, keepdims=True)).astype(np.float32))
 
 
@@ -113,10 +113,13 @@ def test_vote_modal_and_tie_breaks():
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.sampled_from(list(range(4))))
 def test_combine_valid_and_permutation_invariant(seed, m, kind_i):
     kind = ("uniform", "confidence_weighted", "median", "vote")[kind_i]
-    maps = rand_maps(m, seed=seed)
+    maps = rand_maps(m, seed=seed, n=3)
     strategy = CombineStrategy(kind)
     out = combine(maps, strategy)
     assert_valid(out)
+    # a batch combines to the concatenation of its images' combines, bit for bit
+    per_image = [combine([mp[i : i + 1] for mp in maps], strategy) for i in range(3)]
+    assert np.array_equal(out, np.concatenate(per_image))
     if kind != "confidence_weighted":  # weighted is also invariant; tested separately
         perm = np.random.default_rng(seed).permutation(m)
         np.testing.assert_allclose(out, combine([maps[i] for i in perm], strategy), atol=1e-7)
