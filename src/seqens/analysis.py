@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import IGNORE_LABEL
+
 
 @dataclass
 class MetricsReport:
@@ -24,7 +26,7 @@ class FourCaseTable:
 _CASES = ("both_correct", "g0_only", "g1_only", "both_wrong")
 
 
-def segmentation_metrics(pred, gt, num_classes: int, ignore_label: int | None = None) -> MetricsReport:
+def segmentation_metrics(pred, gt, num_classes: int) -> MetricsReport:
     if len(pred) != len(gt):
         raise ValueError("prediction/ground-truth count mismatch")
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -33,7 +35,7 @@ def segmentation_metrics(pred, gt, num_classes: int, ignore_label: int | None = 
         g = np.asarray(g)
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-        valid = np.ones_like(g, dtype=bool) if ignore_label is None else (g != ignore_label)
+        valid = g != IGNORE_LABEL
         gv, pv = g[valid], p[valid]
         if np.any((gv < 0) | (gv >= num_classes)):
             raise ValueError("ground-truth label out of range")
@@ -90,7 +92,8 @@ def prediction_similarity_matrix(maps) -> np.ndarray:
     """
     if len(maps) < 2:
         raise ValueError("need at least two members")
-    return _similarity_from_vectors([np.asarray(m, dtype=np.float64).ravel() for m in maps])
+    # float32 views: cosine_similarity upcasts one pair at a time
+    return _similarity_from_vectors([np.asarray(m).ravel() for m in maps])
 
 
 def parameter_similarity_matrix(members) -> np.ndarray:
@@ -108,7 +111,7 @@ def mean_offdiagonal(mat: np.ndarray) -> float:
     return float(mat[mask].mean())
 
 
-def four_case_table(p0, p1, gt, ignore_label: int | None = None) -> FourCaseTable:
+def four_case_table(p0, p1, gt) -> FourCaseTable:
     if not (len(p0) == len(p1) == len(gt)):
         raise ValueError(f"map count mismatch: {len(p0)}, {len(p1)} and {len(gt)}")
     counts = dict.fromkeys(_CASES, 0)
@@ -116,11 +119,11 @@ def four_case_table(p0, p1, gt, ignore_label: int | None = None) -> FourCaseTabl
         a, b, g = np.asarray(a), np.asarray(b), np.asarray(g)
         if not (a.shape == b.shape == g.shape):
             raise ValueError(f"shape mismatch {a.shape}, {b.shape} vs {g.shape}")
-        valid = np.ones_like(g, dtype=bool) if ignore_label is None else (g != ignore_label)
+        valid = g != IGNORE_LABEL
         c0 = (a == g) & valid
         c1 = (b == g) & valid
         counts["both_correct"] += int((c0 & c1).sum())
-        counts["g0_only"] += int((c0 & ~c1 & valid).sum())
+        counts["g0_only"] += int((c0 & ~c1).sum())
         counts["g1_only"] += int((~c0 & c1 & valid).sum())
         counts["both_wrong"] += int((~c0 & ~c1 & valid).sum())
     total = sum(counts.values())

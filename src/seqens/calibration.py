@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .data import IGNORE_LABEL
 from .tensor import Tensor
 
 
@@ -31,10 +32,8 @@ class CalibrationConfig:
 class CalibrationReport:
     per_temperature_ece: list[tuple[float, float]]
     best_temperature: float
-    bins: list[tuple[int, float, float]]  # (count, mean confidence, accuracy) at best T
-    per_bin_by_temperature: dict[float, list[tuple[int, float, float]]] = field(
-        default_factory=dict
-    )
+    # (count, mean confidence, accuracy) per bin at each grid temperature
+    per_bin_by_temperature: dict[float, list[tuple[int, float, float]]]
 
 
 def temperature_scale(logits, temperature: float) -> np.ndarray:
@@ -51,13 +50,13 @@ def _bin_index(conf: np.ndarray, num_bins: int) -> np.ndarray:
     return np.clip(idx, 0, num_bins - 1)
 
 
-def _flatten_pixels(probs, labels, ignore_label):
+def _flatten_pixels(probs, labels):
     # accepts per-image (C,H,W)/(H,W) or batched (N,C,H,W)/(N,H,W) pairs
     confs, hits = [], []
     for p, y in zip(probs, labels, strict=True):
         p = np.asarray(p, dtype=np.float64)
         y = np.asarray(y)
-        valid = np.ones_like(y, dtype=bool) if ignore_label is None else (y != ignore_label)
+        valid = y != IGNORE_LABEL
         conf = p.max(axis=-3)
         pred = np.argmax(p, axis=-3)
         confs.append(conf[valid])
@@ -71,9 +70,9 @@ def _flatten_pixels(probs, labels, ignore_label):
     return conf, hit
 
 
-def bin_statistics(probs, labels, cfg: CalibrationConfig, ignore_label=None):
+def bin_statistics(probs, labels, cfg: CalibrationConfig):
     """Per-bin (count, mean confidence, accuracy); empty bins report zeros."""
-    conf, hit = _flatten_pixels(probs, labels, ignore_label)
+    conf, hit = _flatten_pixels(probs, labels)
     idx = _bin_index(conf, cfg.num_bins)
     stats = []
     for m in range(cfg.num_bins):
@@ -91,19 +90,19 @@ def _ece_from_bins(stats) -> float:
     return float(sum(n / total * abs(acc - conf) for n, conf, acc in stats if n))
 
 
-def expected_calibration_error(probs, labels, cfg: CalibrationConfig, ignore_label=None) -> float:
-    return _ece_from_bins(bin_statistics(probs, labels, cfg, ignore_label))
+def expected_calibration_error(probs, labels, cfg: CalibrationConfig) -> float:
+    return _ece_from_bins(bin_statistics(probs, labels, cfg))
 
 
-def confidence_histogram(probs, labels, cfg: CalibrationConfig, ignore_label=None):
-    conf, hit = _flatten_pixels(probs, labels, ignore_label)
+def confidence_histogram(probs, labels, cfg: CalibrationConfig):
+    conf, hit = _flatten_pixels(probs, labels)
     idx = _bin_index(conf, cfg.num_bins)
     correct = np.bincount(idx[hit], minlength=cfg.num_bins)[: cfg.num_bins]
     incorrect = np.bincount(idx[~hit], minlength=cfg.num_bins)[: cfg.num_bins]
     return list(map(int, correct)), list(map(int, incorrect))
 
 
-def temperature_sweep(logits, labels, cfg: CalibrationConfig, ignore_label=None) -> CalibrationReport:
+def temperature_sweep(logits, labels, cfg: CalibrationConfig) -> CalibrationReport:
     """Evaluate ECE on cached logits (N,C,H,W) at each grid temperature and pick the best.
 
     labels are the N ground-truth maps (H,W). Ties in ECE break toward the
@@ -112,13 +111,8 @@ def temperature_sweep(logits, labels, cfg: CalibrationConfig, ignore_label=None)
     rows = []
     per_bin = {}
     for t in cfg.temperature_grid:
-        per_bin[t] = bin_statistics(temperature_scale(logits, t), labels, cfg, ignore_label)
+        per_bin[t] = bin_statistics(temperature_scale(logits, t), labels, cfg)
         rows.append((t, _ece_from_bins(per_bin[t])))
     best_t = min(rows, key=lambda r: (r[1], abs(r[0] - 1.0)))[0]
-    return CalibrationReport(
-        per_temperature_ece=rows,
-        best_temperature=best_t,
-        bins=per_bin[best_t],
-        per_bin_by_temperature=per_bin,
-    )
+    return CalibrationReport(rows, best_t, per_bin)
 

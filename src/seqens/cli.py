@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .calibration import CalibrationConfig, temperature_scale, temperature_sweep
 from .data import (
-    IGNORE_LABEL,
     _batched_probs,
     _write_atomic,
     _write_csv,
@@ -34,7 +33,9 @@ from .data import (
     write_manifest,
     write_sample,
 )
-from .ensembling import Chain, CombineStrategy, chain_predict, chain_provider, combine, stage_labels
+from .ensembling import (
+    COMBINE_KINDS, Chain, CombineStrategy, chain_predict, chain_provider, combine, stage_labels,
+)
 from .nets import build_generation, predict
 from .training import train_generation
 
@@ -170,7 +171,7 @@ def cmd_eval(args) -> int:
     rows = []
     if args.chain:
         labels = _batched_probs(chain_provider(gens, args.self_loops), val).argmax(axis=1)
-        report = segmentation_metrics(labels, gts, num_classes, IGNORE_LABEL)
+        report = segmentation_metrics(labels, gts, num_classes)
         rows.append(
             _metrics_row(run_id, "seq", len(gens) - 1, len(gens), "chain", 1.0, report)
         )
@@ -179,7 +180,7 @@ def cmd_eval(args) -> int:
     else:
         for i, g in enumerate(gens):
             labels = _batched_probs(lambda im: predict(g, im).probs, val).argmax(axis=1)
-            report = segmentation_metrics(labels, gts, num_classes, IGNORE_LABEL)
+            report = segmentation_metrics(labels, gts, num_classes)
             rows.append(_metrics_row(run_id, "single", i, 1, "none", 1.0, report))
             if args.dump:
                 dump_labels(os.path.join(args.dump, f"member{i}"), labels, num_classes)
@@ -203,7 +204,7 @@ def cmd_ensemble(args) -> int:
         for g in gens
     ]
     labels = combine(member_probs, CombineStrategy(args.strategy)).argmax(axis=1)
-    report = segmentation_metrics(labels, gts, num_classes, IGNORE_LABEL)
+    report = segmentation_metrics(labels, gts, num_classes)
     rows = [
         _metrics_row(
             run_id, args.mode, "ensemble", len(gens), args.strategy, args.temperature, report
@@ -240,7 +241,7 @@ def cmd_calibrate(args) -> int:
 
     chain = Chain(gens)  # one checkpoint is a chain of one
     logits = _batched_probs(lambda im: chain_predict(chain, im)[-1].logits, val)
-    report = temperature_sweep(logits, [s.label for s in val], cfg, IGNORE_LABEL)
+    report = temperature_sweep(logits, [s.label for s in val], cfg)
     header, rows = _calibration_rows(report, cfg.num_bins)
     _write_csv(args.report, header, rows)
     return 0
@@ -278,7 +279,7 @@ def cmd_fourcase(args) -> int:
         return stage_labels([b.probs for b in bundles])
 
     labels = _batched_probs(labels_fn, val)
-    table = four_case_table(labels[:, 0], labels[:, 1], [s.label for s in val], IGNORE_LABEL)
+    table = four_case_table(labels[:, 0], labels[:, 1], [s.label for s in val])
     rows = [
         [case, str(table.counts[case]), fmt(table.fractions[case])]
         for case in ("both_correct", "g0_only", "g1_only", "both_wrong")
@@ -315,48 +316,39 @@ def build_parser() -> _Parser:
     sp.add_argument("--condition", action="append", default=[], metavar="CKPT")
     sp.set_defaults(fn=cmd_train)
 
-    sp = sub.add_parser("eval", help="evaluate checkpoints on the val split")
-    sp.add_argument("--ckpt", action="append", required=True)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--report", required=True)
+    # the checkpoints, the dataset and the report path every evaluation command takes
+    evaluation = _Parser(add_help=False)
+    evaluation.add_argument("--ckpt", action="append", required=True)
+    evaluation.add_argument("--data", required=True)
+    evaluation.add_argument("--report", required=True)
+
+    sp = sub.add_parser("eval", parents=[evaluation], help="evaluate checkpoints on the val split")
     sp.add_argument("--chain", action="store_true")
     sp.add_argument("--self-loops", type=int, default=0, dest="self_loops")
     sp.add_argument("--dump", default=None)
     sp.set_defaults(fn=cmd_eval)
 
     # --mode keeps one choice so existing command lines parse; `eval --chain` evaluates a chain
-    sp = sub.add_parser("ensemble", help="evaluate a plain ensemble of independent members")
-    sp.add_argument("--mode", choices=("sim",), required=True)
-    sp.add_argument(
-        "--strategy",
-        choices=("uniform", "confidence_weighted", "median", "vote"),
-        default="uniform",
+    sp = sub.add_parser(
+        "ensemble", parents=[evaluation], help="evaluate a plain ensemble of independent members"
     )
-    sp.add_argument("--ckpt", action="append", required=True)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--report", required=True)
+    sp.add_argument("--mode", choices=("sim",), required=True)
+    sp.add_argument("--strategy", choices=COMBINE_KINDS, default="uniform")
     sp.add_argument("--t", type=float, default=1.0, dest="temperature")
     sp.add_argument("--dump", default=None)
     sp.set_defaults(fn=cmd_ensemble)
 
-    sp = sub.add_parser("calibrate", help="temperature sweep on cached logits")
-    sp.add_argument("--ckpt", action="append", required=True)
-    sp.add_argument("--data", required=True)
+    sp = sub.add_parser("calibrate", parents=[evaluation], help="temperature sweep on cached logits")
     sp.add_argument("--grid", default="0.5,1,2,4,8")
     sp.add_argument("--bins", type=int, default=10)
-    sp.add_argument("--report", required=True)
     sp.set_defaults(fn=cmd_calibrate)
 
-    sp = sub.add_parser("diversity", help="pairwise prediction/parameter cosine matrices")
-    sp.add_argument("--ckpt", action="append", required=True)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--report", required=True)
+    sp = sub.add_parser(
+        "diversity", parents=[evaluation], help="pairwise prediction/parameter cosine matrices"
+    )
     sp.set_defaults(fn=cmd_diversity)
 
-    sp = sub.add_parser("fourcase", help="error transition table between two stages")
-    sp.add_argument("--ckpt", action="append", required=True)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--report", required=True)
+    sp = sub.add_parser("fourcase", parents=[evaluation], help="error transition table between two stages")
     sp.set_defaults(fn=cmd_fourcase)
 
     sp = sub.add_parser("reproduce", help="run a named desk-scale figure recipe")

@@ -340,6 +340,7 @@ class _SliceState(threading.local):
     active = False  # this thread is running a slice of a split batch
 
 
+_BATCH = 16  # images per batch when a model runs over a split
 _POOL: ThreadPoolExecutor | None = None  # runs every slice but the first; built on first use
 _SLICE = _SliceState()
 
@@ -364,7 +365,7 @@ def _run_split(fn, batch: np.ndarray, workers: int) -> np.ndarray:
     return np.concatenate([first] + [f.result() for f in futures])
 
 
-def _batched_probs(fn, dataset, batch_size=16) -> np.ndarray:
+def _batched_probs(fn, dataset) -> np.ndarray:
     """Run `fn` (image batch -> per-image maps) over the split in batches; one array, image on axis 0.
 
     Each batch is cut into one contiguous slice per CPU of the process's
@@ -378,8 +379,8 @@ def _batched_probs(fn, dataset, batch_size=16) -> np.ndarray:
         raise FormatError("empty split: no samples to run the model over")
     workers = 1 if _SLICE.active else _split_workers()
     batches = (
-        np.stack([s.image for s in dataset[start : start + batch_size]])
-        for start in range(0, len(dataset), batch_size)
+        np.stack([s.image for s in dataset[start : start + _BATCH]])
+        for start in range(0, len(dataset), _BATCH)
     )
     if workers == 1:
         return np.concatenate([fn(b) for b in batches])

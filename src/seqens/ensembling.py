@@ -108,10 +108,10 @@ def stage_labels(maps: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.argmax(axis=1) for m in maps], axis=1)
 
 
-def forest_predict(forest: Forest, image, strategy: CombineStrategy | None = None) -> PredictionBundle:
-    strategy = strategy or CombineStrategy("uniform")
+def forest_predict(forest: Forest, image) -> PredictionBundle:
+    """The uniform mean of each chain's final map."""
     finals = [chain_predict(c, image)[-1].probs for c in forest.chains]
-    return _bundle_from_probs(combine(finals, strategy))
+    return _bundle_from_probs(combine(finals, CombineStrategy("uniform")))
 
 
 def chain_provider(prefix: list[Generation], self_loops: int = 0):

@@ -69,7 +69,6 @@ class AdonBlock:
 
     prefix: str
     depth: int
-    latent: int
     params: dict[str, Tensor]
 
     def tensors(self):
@@ -121,16 +120,13 @@ def _build_adon_block(rng, prefix: str, num_classes: int, latent: int, depth: in
     # zero-init scale/bias heads: a fresh block is the identity modulation
     params.update(_conv_params(rng, "fscale", depth, latent, 1, zero=True))
     params.update(_conv_params(rng, "fbias", depth, latent, 1, zero=True))
-    return AdonBlock(prefix=prefix, depth=depth, latent=latent, params=params)
+    return AdonBlock(prefix=prefix, depth=depth, params=params)
 
 
-def backbone_param_names(config: BackboneConfig) -> list[str]:
-    """Names of the shared feature-extractor parameters (warm-start transfers these)."""
-    return [
-        f"{layer}.{kind}"
-        for layer in ("stem", "layer1", "layer2", "layer3")
-        for kind in ("weight", "bias")
-    ]
+# names of the shared feature-extractor parameters (a warm start transfers these)
+BACKBONE_PARAM_NAMES = tuple(
+    f"{layer}.{kind}" for layer in ("stem", "layer1", "layer2", "layer3") for kind in ("weight", "bias")
+)
 
 
 def build_generation(config: BackboneConfig, seed: int, index: int = 0) -> Generation:

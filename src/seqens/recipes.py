@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .calibration import CalibrationConfig, temperature_sweep
 from .data import (
-    IGNORE_LABEL,
     DatasetSpec,
     _batched_probs,
     _write_csv,
@@ -55,9 +54,8 @@ def _train_g0(train, seed: int):
     return g
 
 
-def _miou(labels, dataset, num_classes=4):
-    gts = [s.label for s in dataset]
-    return segmentation_metrics(labels, gts, num_classes, IGNORE_LABEL).miou
+def _miou(labels, dataset):
+    return segmentation_metrics(labels, [s.label for s in dataset], 4).miou  # the task's four classes
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,7 @@ def recipe_ece_sweep(out_dir: str):
     g = _train_g0(train, seed=201)
     cfg = CalibrationConfig(num_bins=10, temperature_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0))
     logits = _batched_probs(lambda im: predict(g, im).logits, val)
-    report = temperature_sweep(logits, [s.label for s in val], cfg, IGNORE_LABEL)
+    report = temperature_sweep(logits, [s.label for s in val], cfg)
     rows = [[fmt(t), fmt(e)] for t, e in report.per_temperature_ece]
     rows.append([fmt(report.best_temperature), "best"])
     _write_csv(os.path.join(out_dir, "ece_sweep.csv"), ["T", "ece"], rows)

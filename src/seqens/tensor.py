@@ -31,10 +31,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is None:
-            dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float32
+        dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float32
         self.data = np.asarray(arr, dtype=dtype, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)

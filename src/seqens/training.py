@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .analysis import segmentation_metrics
 from .data import IGNORE_LABEL, Checkpoint, Sample, _batched_probs, load_checkpoint
-from .nets import Generation, backbone_param_names, forward_logits, predict
+from .nets import BACKBONE_PARAM_NAMES, Generation, forward_logits, predict
 from .tensor import Graph, LrSchedule, SgdMomentum, Tensor, backward, poly_lr_at
 
 
@@ -87,7 +87,7 @@ def evaluate_miou(g: Generation, dataset: list[Sample], provider=None) -> float:
         return predict(g, images, None if provider is None else provider(images)).probs.argmax(axis=1)
 
     labels = _batched_probs(labels_fn, dataset)
-    return segmentation_metrics(labels, [s.label for s in dataset], g.config.num_classes, IGNORE_LABEL).miou
+    return segmentation_metrics(labels, [s.label for s in dataset], g.config.num_classes).miou
 
 
 def train_generation(
@@ -118,7 +118,7 @@ def train_generation(
     if warm is not None:
         if not isinstance(warm, Checkpoint):
             warm = load_checkpoint(warm)
-        for name in backbone_param_names(g.config):
+        for name in BACKBONE_PARAM_NAMES:
             src = warm.tensors.get(name)
             if src is None or src.shape != g.parameters[name].data.shape:
                 raise ValueError(f"warmstart checkpoint incompatible at {name!r}")

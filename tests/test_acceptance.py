@@ -85,7 +85,7 @@ SMALL_ARCHES = {
 def _val_miou_probs(probs_list, val):
     labels = [np.argmax(p, axis=0) for p in probs_list]
     gts = [s.label for s in val]
-    return segmentation_metrics(labels, gts, 4, 255).miou
+    return segmentation_metrics(labels, gts, 4).miou
 
 
 def _batched(fn, val, bs=16):
@@ -418,16 +418,16 @@ def test_criterion_04_metric_oracles(capfd):
         if np.all(gt == 255):
             gt[0, 0] = 0
         pred = rng.integers(0, c, size=(h, w))
-        r = segmentation_metrics([pred], [gt], c, 255)
+        r = segmentation_metrics([pred], [gt], c)
         miou, acc = _oracle_metrics([pred], [gt], c, 255)
         ok = ok and abs(r.miou - miou) < 1e-12 and abs(r.pixel_accuracy - acc) < 1e-12
 
         p = _probs(rng, (1, c, h, w))[0]
         bins = int(rng.integers(2, 12))
         cfg = CalibrationConfig(num_bins=bins)
-        got = expected_calibration_error([p], [gt], cfg, ignore_label=255)
+        got = expected_calibration_error([p], [gt], cfg)
         want, oc, oi = _oracle_ece_and_hist([p], [gt], bins, 255)
-        hc, hi = confidence_histogram([p], [gt], cfg, ignore_label=255)
+        hc, hi = confidence_histogram([p], [gt], cfg)
         ok = ok and abs(got - want) < 1e-12 and hc == oc and hi == oi
 
         v1 = rng.normal(size=20)
@@ -437,7 +437,7 @@ def test_criterion_04_metric_oracles(capfd):
 
         p0 = rng.integers(0, c, size=(h, w))
         p1 = rng.integers(0, c, size=(h, w))
-        table = four_case_table([p0], [p1], [gt], ignore_label=255)
+        table = four_case_table([p0], [p1], [gt])
         counts = dict.fromkeys(("both_correct", "g0_only", "g1_only", "both_wrong"), 0)
         for i in range(h):
             for j in range(w):

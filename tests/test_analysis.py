@@ -65,7 +65,7 @@ def test_absent_class_excluded():
 
 def test_metrics_errors():
     with pytest.raises(ValueError):
-        segmentation_metrics([np.zeros((2, 2), int)], [np.full((2, 2), 255)], 3, 255)
+        segmentation_metrics([np.zeros((2, 2), int)], [np.full((2, 2), 255)], 3)
     with pytest.raises(ValueError):
         segmentation_metrics([np.zeros((2, 2), int)], [np.full((2, 2), 9)], 3)
 
@@ -79,7 +79,7 @@ def test_metrics_reject_predicted_class_out_of_range(bad):
         segmentation_metrics([pred], [gt], 4)
     # a prediction under an ignored pixel is not scored
     gt[0, 1] = 255
-    assert segmentation_metrics([pred], [gt], 4, 255).miou == 1.0
+    assert segmentation_metrics([pred], [gt], 4).miou == 1.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -91,7 +91,7 @@ def test_metrics_match_brute_force(seed, c, use_ignore):
     ignore = 255 if use_ignore else None
     if use_ignore:
         gt = np.where(rng.uniform(size=gt.shape) < 0.2, 255, gt)
-    r = segmentation_metrics([pred], [gt], c, ignore)
+    r = segmentation_metrics([pred], [gt], c)
     miou, acc, confusion = brute_force_metrics([pred], [gt], c, ignore)
     assert r.miou == pytest.approx(miou)
     assert r.pixel_accuracy == pytest.approx(acc)
@@ -216,7 +216,7 @@ def test_four_case_matches_brute_force(seed):
     gt = np.where(rng.uniform(size=gt.shape) < 0.1, 255, gt)
     p0 = rng.integers(0, 3, size=(7, 7))
     p1 = rng.integers(0, 3, size=(7, 7))
-    t = four_case_table([p0], [p1], [gt], ignore_label=255)
+    t = four_case_table([p0], [p1], [gt])
     counts = dict.fromkeys(("both_correct", "g0_only", "g1_only", "both_wrong"), 0)
     for i in range(7):
         for j in range(7):

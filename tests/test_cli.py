@@ -246,7 +246,7 @@ def test_fourcase_runs_each_generation_once_per_image(workspace, tmp_path, monke
     images = np.stack([s.image for s in val])
     l0 = nets.predict(g0, images).probs.argmax(axis=1)
     l1 = chain_provider([g0, g1])(images).argmax(axis=1)
-    table = four_case_table(l0, l1, [s.label for s in val], 255)
+    table = four_case_table(l0, l1, [s.label for s in val])
     _, rows = read_csv(report)
     assert {r[0]: int(r[1]) for r in rows} == table.counts
 

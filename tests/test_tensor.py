@@ -267,7 +267,7 @@ def _resize_reference(x: np.ndarray, oh: int, ow: int) -> np.ndarray:
 def test_resize_half_pixel_example(h, w, oh, ow):
     x = np.random.default_rng(h * 100 + w).normal(size=(2, 3, h, w))
     ref = np.stack([[_resize_reference(m, oh, ow) for m in img] for img in x])
-    out = T.bilinear_resize(Tensor(x, dtype=np.float64), oh, ow).data
+    out = T.bilinear_resize(Tensor(x), oh, ow).data  # x is float64
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
     out32 = T.bilinear_resize(Tensor(x.astype(np.float32)), oh, ow).data
     assert out32.dtype == np.float32

@@ -4,8 +4,8 @@ import pytest
 from seqens.data import DatasetSpec, checkpoint_from_generation, generate_dataset, save_checkpoint
 from seqens.ensembling import chain_provider
 from seqens.nets import (
+    BACKBONE_PARAM_NAMES,
     BackboneConfig,
-    backbone_param_names,
     build_generation,
     flatten_parameters,
 )
@@ -106,7 +106,7 @@ def test_warmstart_copies_backbone_keeps_own_head_and_blocks(tmp_path):
         train_generation(g, data[:4], [], cfg, chain_provider([g0]))
         own = build_generation(SMALL_ADON, seed=seed, index=1)
         for name, t in g.parameters.items():
-            src = base if name in backbone_param_names(SMALL_ADON) else own
+            src = base if name in BACKBONE_PARAM_NAMES else own
             np.testing.assert_array_equal(t.data, src.parameters[name].data)
         members.append(g)
     # two warm starts share the backbone but not the head
