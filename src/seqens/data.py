@@ -7,6 +7,8 @@ and parallelism cannot change the data.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import ctypes
 import functools
 import glob
@@ -330,51 +332,81 @@ def _openblas_threads():
 
 
 def _split_workers() -> int:
-    """How many slices a batch is cut into: one per CPU this process may run on."""
+    """How many CPUs a split may use: those this process may run on."""
     if _openblas_threads() is None or not hasattr(os, "sched_getaffinity"):  # not on every OS
         return 1
     return len(os.sched_getaffinity(0))
 
 
 class _SliceState(threading.local):
-    active = False  # this thread is running a slice of a split batch
+    active = False  # this thread is running a call of a split
 
 
 _BATCH = 16  # images per batch when a model runs over a split
-_POOL: ThreadPoolExecutor | None = None  # runs every slice but the first; built on first use
+_POOL: ThreadPoolExecutor | None = None  # runs every call of a split but the first; built on first use
 _SLICE = _SliceState()
 
 
-def _run_slice(fn, images):
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's bundled OpenBLAS on one thread inside the block, set back after it (or after it raised)."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
+def _slices(n: int, parts: int) -> list[slice]:
+    """`parts` contiguous slices of range(n) whose lengths differ by at most one; n of them if n < parts."""
+    bounds = np.linspace(0, n, min(parts, n) + 1).astype(int)
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _run_slice(call):
     _SLICE.active = True
     try:
-        return fn(images)
+        return call()
     finally:
         _SLICE.active = False
 
 
-def _run_split(fn, batch: np.ndarray, workers: int) -> np.ndarray:
-    """`fn` over one contiguous slice of `batch` per worker; the calling thread runs the first."""
-    bounds = np.linspace(0, len(batch), min(workers, len(batch)) + 1).astype(int)
-    slices = [batch[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    futures = [_POOL.submit(_run_slice, fn, s) for s in slices[1:]]
+def _run_split(calls: list) -> list:
+    """The results of the zero-argument `calls`, in order: the first runs on this thread and the rest on
+    the pool, each in a copy of this thread's context, so a caller's `np.errstate` holds in all of them.
+
+    All of them have ended when this returns; an exception from one is re-raised unchanged (the
+    earliest call's, if several raise). On one CPU, or inside a call of another split (whose caller
+    may keep the pool's threads busy), they run one after another on this thread.
+    """
+    global _POOL
+    workers = 1 if _SLICE.active else _split_workers()
+    if workers == 1:
+        return [call() for call in calls]
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="seqens-split")
+    futures = [_POOL.submit(contextvars.copy_context().run, _run_slice, call) for call in calls[1:]]
     try:
-        first = _run_slice(fn, slices[0])
+        first = _run_slice(calls[0])
     finally:
-        wait(futures)  # no slice outlives its split, even when the first one raised
-    return np.concatenate([first] + [f.result() for f in futures])
+        wait(futures)  # no call outlives its split, even when the first one raised
+    return [first] + [f.result() for f in futures]
 
 
 def _batched_probs(fn, dataset) -> np.ndarray:
     """Run `fn` (image batch -> per-image maps) over the split in batches; one array, image on axis 0.
 
     Each batch is cut into one contiguous slice per CPU of the process's
-    affinity set, run on the calling thread and a pool of threads, with BLAS
-    on one thread meanwhile. An image's maps do not depend on its batch, so
-    the result is the serial one bit for bit. A call from inside a slice runs
-    serially: the pool's threads may all be busy with its caller's slices.
+    affinity set, run by `_run_split` with BLAS on one thread meanwhile. An
+    image's maps do not depend on its batch, so the result is the serial one
+    bit for bit.
     """
-    global _POOL
     if not dataset:
         raise FormatError("empty split: no samples to run the model over")
     workers = 1 if _SLICE.active else _split_workers()
@@ -384,15 +416,9 @@ def _batched_probs(fn, dataset) -> np.ndarray:
     )
     if workers == 1:
         return np.concatenate([fn(b) for b in batches])
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="seqens-split")
-    get, set_ = _openblas_threads()
-    blas_threads = get()
-    set_(1)
-    try:
-        return np.concatenate([_run_split(fn, b, workers) for b in batches])
-    finally:
-        set_(blas_threads)
+    with _one_blas_thread():
+        parts = (_run_split([functools.partial(fn, b[s]) for s in _slices(len(b), workers)]) for b in batches)
+        return np.concatenate([m for maps in parts for m in maps])
 
 
 # ---------------------------------------------------------------------------

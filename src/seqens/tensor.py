@@ -4,7 +4,8 @@ Everything trainable in this package flows through the small op set below:
 conv2d, relu, channel softmax, bilinear resize, affine modulation, channel
 concatenation and per-pixel cross entropy, plus the elementwise glue needed
 to compose them. Gradients are recorded on an explicit :class:`Graph` tape
-and replayed in reverse topological order by :func:`backward`.
+and replayed in reverse topological order by :func:`gradients`;
+:func:`backward` adds what it returns into each leaf's `.grad`.
 
 Training runs in float32; :func:`grad_check` re-executes in float64 so the
 finite-difference oracle is not limited by single precision.
@@ -103,8 +104,8 @@ def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
-def backward(graph: Graph, loss: Tensor) -> None:
-    """Populate grads of every requires_grad leaf with d(loss)/d(leaf)."""
+def gradients(graph: Graph, loss: Tensor) -> list[tuple[Tensor, np.ndarray]]:
+    """(leaf, d(loss)/d(leaf)) for every requires_grad leaf the loss reaches; no `.grad` is touched."""
     if graph.consumed:
         raise GraphError("graph already consumed by a previous backward pass")
     if loss.data.size != 1:
@@ -136,7 +137,12 @@ def backward(graph: Graph, loss: Tensor) -> None:
                     leaf_grads[key] = (inp, leaf_grads[key][1] + gin)
                 else:
                     leaf_grads[key] = (inp, gin)
-    for t, g in leaf_grads.values():
+    return list(leaf_grads.values())
+
+
+def backward(graph: Graph, loss: Tensor) -> None:
+    """Populate grads of every requires_grad leaf with d(loss)/d(leaf)."""
+    for t, g in gradients(graph, loss):
         t.accumulate_grad(g)
 
 

@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .analysis import segmentation_metrics
-from .data import IGNORE_LABEL, Checkpoint, Sample, _batched_probs, load_checkpoint
+from .data import (
+    IGNORE_LABEL,
+    Checkpoint,
+    Sample,
+    _batched_probs,
+    _one_blas_thread,
+    _run_split,
+    _slices,
+    load_checkpoint,
+)
 from .nets import BACKBONE_PARAM_NAMES, Generation, forward_logits, predict
-from .tensor import Graph, LrSchedule, SgdMomentum, Tensor, backward, poly_lr_at
+from .tensor import Graph, LrSchedule, SgdMomentum, Tensor, gradients, poly_lr_at
+
+_SHARDS = 2  # every training batch is cut into this many, whatever the CPU count
 
 
 class NonFiniteError(ValueError):
@@ -90,6 +102,32 @@ def evaluate_miou(g: Generation, dataset: list[Sample], provider=None) -> float:
     return segmentation_metrics(labels, [s.label for s in dataset], g.config.num_classes).miou
 
 
+def _shard_loss(g: Generation, images, labels, provider, share: float):
+    """A shard's loss, scaled by its `share` of the batch's counted pixels, and its leaf gradients."""
+    cond = None if provider is None else Tensor(provider(images))  # frozen: plain constant
+    with Graph() as graph:
+        probs = T.channel_softmax(forward_logits(g, Tensor(images), cond))
+        loss = T.mul_scalar(T.pixel_cross_entropy(probs, labels, IGNORE_LABEL), share)
+    return loss, gradients(graph, loss)
+
+
+def _shard_gradients(g: Generation, images, labels, provider) -> list:
+    """(loss, [(leaf, gradient)]) of each of the batch's _SHARDS contiguous shards, in batch order.
+
+    The batch's loss is the mean over its counted pixels, so each shard's own
+    mean is weighted by its share of them: the shard losses, and the shard
+    gradients, add up to the batch's.
+    """
+    counted = (labels != IGNORE_LABEL).reshape(len(labels), -1).sum(axis=1)
+    total = max(1, counted.sum())
+    return _run_split(
+        [
+            functools.partial(_shard_loss, g, images[s], labels[s], provider, counted[s].sum() / total)
+            for s in _slices(len(images), _SHARDS)
+        ]
+    )
+
+
 def train_generation(
     g: Generation,
     train: list[Sample],
@@ -135,36 +173,34 @@ def train_generation(
     history = TrainHistory()
     step = 0
     lr = cfg.lr0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(train))
-        for start in range(0, len(train), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            images, labels = [], []
-            for i in idx:
-                im, lb = augment_sample(train[i].image, train[i].label, cfg.augment, rng)
-                images.append(im)
-                labels.append(lb)
-            images = np.stack(images)
-            labels = np.stack(labels)
-            cond = None
-            if condition_provider is not None:
-                cond = Tensor(condition_provider(images))  # frozen: plain constant
+    with _one_blas_thread():  # each shard runs its GEMMs on its own CPU
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(train))
+            for start in range(0, len(train), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                images, labels = [], []
+                for i in idx:
+                    im, lb = augment_sample(train[i].image, train[i].label, cfg.augment, rng)
+                    images.append(im)
+                    labels.append(lb)
+                images = np.stack(images)
+                labels = np.stack(labels)
+                shards = _shard_gradients(g, images, labels, condition_provider)
 
-            lr = poly_lr_at(sched, step)
-            opt.zero_grad()
-            with Graph() as graph:
-                logits = forward_logits(g, Tensor(images), cond)
-                probs = T.channel_softmax(logits)
-                loss = T.pixel_cross_entropy(probs, labels, IGNORE_LABEL)
-            backward(graph, loss)
-            # stop before the update: a NaN/inf step would poison every parameter
-            grads = (t.grad for t in params if t.grad is not None)
-            if not np.isfinite(loss.data) or not all(np.isfinite(gr).all() for gr in grads):
-                raise NonFiniteError(f"non-finite loss or gradient at training step {step}")
-            opt.step(lr)
-            history.step_loss.append(float(loss.data))
-            step += 1
-        if val:
-            history.epoch_val_miou.append(evaluate_miou(g, val, condition_provider))
+                lr = poly_lr_at(sched, step)
+                opt.zero_grad()
+                for _, grads in shards:  # shard by shard, in batch order: the sum has one order
+                    for t, gr in grads:
+                        t.accumulate_grad(gr)
+                loss = sum(float(shard_loss.data) for shard_loss, _ in shards)
+                # stop before the update: a NaN/inf step would poison every parameter
+                grads = (t.grad for t in params if t.grad is not None)
+                if not np.isfinite(loss) or not all(np.isfinite(gr).all() for gr in grads):
+                    raise NonFiniteError(f"non-finite loss or gradient at training step {step}")
+                opt.step(lr)
+                history.step_loss.append(loss)
+                step += 1
+            if val:
+                history.epoch_val_miou.append(evaluate_miou(g, val, condition_provider))
     history.final_lr = lr
     return history

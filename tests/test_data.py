@@ -360,6 +360,15 @@ def test_an_error_in_a_slice_propagates_unchanged_and_blas_is_restored(fake_blas
     assert info.value is boom and fake_blas[0] == 4
 
 
+def test_slices_on_the_pool_keep_the_callers_error_state(fake_blas):
+    def fn(images):
+        v = images[:, 0, 0, 0] - 13  # zero only in the last of three slices, which a pool thread runs
+        return v / v
+
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        D._batched_probs(fn, _numbered(16))
+
+
 def test_a_call_from_inside_a_slice_runs_serially(fake_blas):
     inner, out = _numbered(5), []
 

@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
+from seqens import data as D
+from seqens import tensor as T
 from seqens.data import DatasetSpec, checkpoint_from_generation, generate_dataset, save_checkpoint
 from seqens.ensembling import chain_provider
 from seqens.nets import (
@@ -8,11 +12,14 @@ from seqens.nets import (
     BackboneConfig,
     build_generation,
     flatten_parameters,
+    forward_logits,
 )
+from seqens.tensor import Graph, Tensor, backward
 from seqens.training import (
     AugmentConfig,
     NonFiniteError,
     TrainConfig,
+    _shard_gradients,
     augment_sample,
     evaluate_miou,
     train_generation,
@@ -226,3 +233,95 @@ def test_non_finite_loss_stops_training_before_the_update():
         train_generation(g, data, [], tiny_cfg(lr0=1e6, epochs=5, seed=3))
     # the step that raised did not update: every parameter is still finite
     assert np.isfinite(flatten_parameters(g)).all()
+
+
+# ---------------------------------------------------------------------------
+# training steps split into two shards
+
+
+@pytest.mark.parametrize("adon", [False, True], ids=["g0", "adon_g1"])
+def test_sharded_training_does_not_depend_on_the_worker_count(monkeypatch, adon):
+    data = tiny_data(7, seed=12)  # batches of 4 and 3: shards of 2+2 and 1+2 images
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(D, "_split_workers", lambda: workers)
+        provider = chain_provider([build_generation(SMALL, seed=3)]) if adon else None
+        g = build_generation(SMALL_ADON if adon else SMALL, seed=13, index=int(adon))
+        hist = train_generation(g, data, [], tiny_cfg(epochs=2, seed=13), provider)
+        runs.append((flatten_parameters(g), hist.step_loss))
+    (p1, loss1), (p2, loss2) = runs
+    np.testing.assert_array_equal(p1, p2)
+    assert loss1 == loss2 and len(loss1) == 4
+
+
+@pytest.mark.parametrize("ignored", ["first_shard", "corners"])
+def test_shard_gradients_sum_to_the_whole_batch_gradient_in_float64(ignored):
+    data = tiny_data(5, seed=13)
+    g0 = build_generation(SMALL, seed=4)
+    g = build_generation(SMALL_ADON, seed=14, index=1)
+    for t in g.parameters.values():
+        t.data = t.data.astype(np.float64) + 0.05  # off zero init: every ADON block carries gradient
+    images = np.stack([s.image for s in data]).astype(np.float64)
+    labels = np.stack([s.label for s in data])
+    if ignored == "first_shard":
+        labels[:2] = 255  # the first shard (images 0-1 of 5) counts no pixel
+    else:
+        for i in range(5):
+            labels[i, :6, : 2 + 3 * i] = 255  # a corner of each image, a different size in each
+    provider = chain_provider([g0])
+
+    def cond(im):
+        return provider(im.astype(np.float32)).astype(np.float64)
+
+    shards = _shard_gradients(g, images, labels, cond)
+    assert [len(grads) for _, grads in shards] == [len(g.trainable())] * 2
+    assert (float(shards[0][0].data) == 0.0) == (ignored == "first_shard")
+    with Graph() as graph:
+        probs = T.channel_softmax(forward_logits(g, Tensor(images), Tensor(cond(images))))
+        whole = T.pixel_cross_entropy(probs, labels, 255)
+    backward(graph, whole)
+    summed = {}
+    for _, grads in shards:
+        for t, gr in grads:
+            summed[id(t)] = summed.get(id(t), 0.0) + gr
+    assert sum(float(loss.data) for loss, _ in shards) == pytest.approx(float(whole.data), rel=1e-12)
+    for t in g.trainable():
+        scale = max(np.abs(t.grad).max(), 1e-30)
+        assert np.abs(summed[id(t)] - t.grad).max() / scale < 1e-12
+
+
+def test_training_restores_the_blas_thread_count(monkeypatch):
+    threads, inside = [4], set()
+    monkeypatch.setattr(D, "_openblas_threads", lambda: (lambda: threads[0], lambda k: threads.__setitem__(0, k)))
+    monkeypatch.setattr(D, "_split_workers", lambda: 2)
+    g0 = build_generation(SMALL, seed=5)
+    provider = chain_provider([g0])
+
+    def recording(images):
+        inside.add(threads[0])
+        return provider(images)
+
+    data = tiny_data(seed=14)
+    train_generation(build_generation(SMALL_ADON, seed=6, index=1), data[:4], [], tiny_cfg(seed=6), recording)
+    assert inside == {1} and threads[0] == 4
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        train_generation(build_generation(SMALL, seed=3), data, [], tiny_cfg(lr0=1e6, epochs=5, seed=3))
+    assert threads[0] == 4
+
+
+def test_an_error_in_the_pool_shard_propagates_unchanged(monkeypatch):
+    monkeypatch.setattr(D, "_split_workers", lambda: 2)
+    caller, boom = threading.current_thread(), KeyError("shard")
+    provider = chain_provider([build_generation(SMALL, seed=5)])
+
+    def failing(images):
+        if threading.current_thread() is not caller:  # the second shard, on the pool
+            raise boom
+        return provider(images)
+
+    g = build_generation(SMALL_ADON, seed=6, index=1)
+    before = flatten_parameters(g).copy()
+    with pytest.raises(KeyError) as info:
+        train_generation(g, tiny_data(seed=15)[:4], [], tiny_cfg(seed=6), failing)
+    assert info.value is boom
+    np.testing.assert_array_equal(flatten_parameters(g), before)
