@@ -36,7 +36,8 @@ def segmentation_metrics(pred, gt, num_classes: int) -> MetricsReport:
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
         valid = g != IGNORE_LABEL
-        gv, pv = g[valid], p[valid]
+        # int64 before the arithmetic: uint8 labels times num_classes would wrap
+        gv, pv = g[valid].astype(np.int64, copy=False), p[valid].astype(np.int64, copy=False)
         if np.any((gv < 0) | (gv >= num_classes)):
             raise ValueError("ground-truth label out of range")
         if np.any((pv < 0) | (pv >= num_classes)):

@@ -68,7 +68,7 @@ class DatasetSpec:
 @dataclass
 class Sample:
     image: np.ndarray  # (3, H, W) float32 in [0, 1]
-    label: np.ndarray  # (H, W) int64 in {0..C-1}
+    label: np.ndarray  # (H, W) uint8 in {0..C-1}, or IGNORE_LABEL
 
 
 # fixed class id and colour family per shape kind (class 0 is background)
@@ -129,7 +129,7 @@ def generate_sample(spec: DatasetSpec, index: int) -> Sample:
             2 * np.pi * fx * xs / w + phase[1]
         )
         image += wave[None]
-    label = np.zeros((h, w), dtype=np.int64)
+    label = np.zeros((h, w), dtype=np.uint8)
     lo, hi = spec.shapes_per_image
     n_shapes = int(rng.integers(lo, hi + 1)) if hi > 0 else 0
     for _ in range(n_shapes):
@@ -227,7 +227,7 @@ def encode_pgm(label: np.ndarray) -> bytes:
 
 def decode_pgm(blob: bytes) -> np.ndarray:
     raw, _ = _parse_netpbm(blob, b"P5")
-    return raw.astype(np.int64).copy()
+    return raw.copy()  # writable, unlike the view of `blob`
 
 
 def write_sample(directory: str, index: int, sample: Sample) -> tuple[str, str]:

@@ -7,12 +7,18 @@ to compose them. Gradients are recorded on an explicit :class:`Graph` tape
 and replayed in reverse topological order by :func:`gradients`;
 :func:`backward` adds what it returns into each leaf's `.grad`.
 
+The tape names an op's output by an integer slot and holds a `Tensor` only
+for a leaf; each op's backward function keeps just the arrays it reads, so
+an intermediate that no backward reads is freed as soon as the forward
+drops it.
+
 Training runs in float32; :func:`grad_check` re-executes in float64 so the
 finite-difference oracle is not limited by single precision.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 
@@ -30,7 +36,7 @@ class GraphError(RuntimeError):
 class Tensor:
     """Dense N-d array of reals with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -38,6 +44,7 @@ class Tensor:
         self.data = np.asarray(arr, dtype=dtype, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
+        self.slot: int | None = None  # the tape slot of the op that made it; None for a leaf
 
     @property
     def shape(self):
@@ -61,8 +68,8 @@ class Tensor:
 
 @dataclass
 class _Node:
-    out: Tensor
-    inputs: tuple
+    slot: int
+    inputs: tuple  # per input: its slot if this graph made it, the leaf Tensor, or None (no gradient)
     backward_fn: object  # callable(grad_out) -> tuple of grads aligned with inputs
 
 
@@ -71,6 +78,7 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.slots: set[int] = set()  # the slots of `nodes`
         self.consumed = False
 
     def __enter__(self) -> "Graph":
@@ -90,17 +98,36 @@ class _GraphStack(threading.local):
 
 
 _GRAPH_STACK = _GraphStack()
+# Slots are process-wide and never reused, unlike id(): an intermediate the tape
+# no longer holds can die, and a new array could take its id.
+_SLOTS = itertools.count()
 
 
 def _active_graph() -> Graph | None:
     return _GRAPH_STACK.graphs[-1] if _GRAPH_STACK.graphs else None
 
 
-def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
+def _recording(inputs: tuple) -> Graph | None:
+    """The graph an op on `inputs` records on: this thread's open one, if a gradient can flow."""
     g = _active_graph()
-    if g is not None and any(t.requires_grad for t in inputs if isinstance(t, Tensor)):
+    if g is not None and any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
+        return g
+    return None
+
+
+def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
+    g = _recording(inputs)
+    if g is not None:
         out.requires_grad = True
-        g.nodes.append(_Node(out, inputs, backward_fn))
+        out.slot = next(_SLOTS)
+        refs = tuple(
+            None if not (isinstance(t, Tensor) and t.requires_grad)
+            else t.slot if t.slot in g.slots
+            else t  # a leaf, or an output of another graph, which this one treats as a leaf
+            for t in inputs
+        )
+        g.nodes.append(_Node(out.slot, refs, backward_fn))
+        g.slots.add(out.slot)
     return out
 
 
@@ -110,33 +137,30 @@ def gradients(graph: Graph, loss: Tensor) -> list[tuple[Tensor, np.ndarray]]:
         raise GraphError("graph already consumed by a previous backward pass")
     if loss.data.size != 1:
         raise GraphError("backward requires a scalar loss")
-    produced = {id(n.out) for n in graph.nodes}
-    if id(loss) not in produced:
+    if loss.slot not in graph.slots:
         raise GraphError("loss was not produced by this graph")
     graph.consumed = True
 
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    flowing: dict[int, np.ndarray] = {loss.slot: np.ones_like(loss.data)}
     leaf_grads: dict[int, tuple[Tensor, np.ndarray]] = {}
     for node in reversed(graph.nodes):
-        gout = flowing.pop(id(node.out), None)
+        gout = flowing.pop(node.slot, None)
         if gout is None:
             continue
         gins = node.backward_fn(gout)
-        for inp, gin in zip(node.inputs, gins):
-            if gin is None or not isinstance(inp, Tensor) or not inp.requires_grad:
+        for ref, gin in zip(node.inputs, gins):
+            if gin is None or ref is None:
                 continue
-            if id(inp) in produced:
-                key = id(inp)
-                if key in flowing:
-                    flowing[key] = flowing[key] + gin
-                else:
-                    flowing[key] = gin
-            else:
-                key = id(inp)
+            if isinstance(ref, Tensor):
+                key = id(ref)  # the node holds the leaf, so its id is not reused
                 if key in leaf_grads:
-                    leaf_grads[key] = (inp, leaf_grads[key][1] + gin)
+                    leaf_grads[key] = (ref, leaf_grads[key][1] + gin)
                 else:
-                    leaf_grads[key] = (inp, gin)
+                    leaf_grads[key] = (ref, gin)
+            elif ref in flowing:
+                flowing[ref] = flowing[ref] + gin
+            else:
+                flowing[ref] = gin
     return list(leaf_grads.values())
 
 
@@ -165,8 +189,8 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
-    return _record(out, (a, b), lambda g: (g * b.data, g * a.data))
+    ad, bd = a.data, b.data
+    return _record(Tensor(ad * bd), (a, b), lambda g: (g * bd, g * ad))
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
@@ -177,12 +201,15 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.asarray(a.data.sum(dtype=a.dtype), dtype=a.dtype))
-    return _record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    shape = a.shape
+    return _record(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, x.dtype.type(0)))
-    return _record(out, (x,), lambda g: (g * (x.data > 0),))  # subgradient at 0 is 0
+    # backward reads only the sign, kept as one byte a pixel; an inference forward builds none
+    mask = x.data > 0 if _recording((x,)) else None
+    return _record(out, (x,), lambda g: (g * mask,))  # subgradient at 0 is 0
 
 
 def affine_modulate(x: Tensor, sigma: Tensor, beta: Tensor) -> Tensor:
@@ -190,8 +217,9 @@ def affine_modulate(x: Tensor, sigma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeError(
             f"affine_modulate: shapes differ {x.shape}, {sigma.shape}, {beta.shape}"
         )
-    out = Tensor(sigma.data * x.data + beta.data)
-    return _record(out, (x, sigma, beta), lambda g: (g * sigma.data, g * x.data, g))
+    xd, sd = x.data, sigma.data
+    out = Tensor(sd * xd + beta.data)
+    return _record(out, (x, sigma, beta), lambda g: (g * sd, g * xd, g))
 
 
 def concat_channels(xs: list[Tensor]) -> Tensor:
@@ -326,6 +354,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                 acc += term[:, :width]
     out = np.empty((n, cout, oh, ow), dtype=x.dtype)
     np.add(grid(wide, cout)[:, :, :oh, :ow], bias.data[:, None, None], out=out)
+    # backward reads the phase buffers, not x: the tape keeps no conv input alive
+    x_shape, x_needs_grad = x.shape, x.requires_grad
 
     def bwd(g):
         gb = g.sum(axis=(0, 2, 3))
@@ -335,7 +365,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         gwmat = np.empty_like(wmat)
         gwpart = np.empty((cout, per_group * cin), dtype=g.dtype)
         gbufs = gcol = None
-        if x.requires_grad:  # an input image or a frozen map needs no gradient
+        if x_needs_grad:  # an input image or a frozen map needs no gradient
             gbufs = {ab: np.zeros_like(buf) for ab, buf in phases.items()}
             gcol = np.empty_like(patch)
         for c0, width in blocks:
@@ -357,7 +387,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                         gbufs[ab][:, c0 + d : c0 + d + width] += gcols[k * cin : (k + 1) * cin]
         gx = None
         if gbufs is not None:
-            gx = np.zeros(x.shape, dtype=g.dtype)
+            gx = np.zeros(x_shape, dtype=g.dtype)
             for (a, b), gbuf in gbufs.items():
                 (ys, xs), (rs, cs) = image_part(a, b)
                 gx[:, :, ys, xs] = grid(gbuf, cin)[:, :, rs, cs]
@@ -441,22 +471,22 @@ def pixel_cross_entropy(p: Tensor, y: np.ndarray, ignore_label: int | None = Non
     if np.any((y[valid] < 0) | (y[valid] >= c)):
         raise ShapeError("pixel_cross_entropy: label out of range")
     n_valid = int(valid.sum())
+    shape, dtype = p.shape, p.dtype
     if n_valid == 0:
         # empty-mean convention: loss 0, no gradient
-        out = Tensor(np.asarray(0.0, dtype=p.dtype))
-        return _record(out, (p,), lambda g: (np.zeros_like(p.data),))
+        out = Tensor(np.asarray(0.0, dtype=dtype))
+        return _record(out, (p,), lambda g: (np.zeros(shape, dtype=dtype),))
 
-    ys = np.where(valid, y, 0)
-    ni, hi, wi = np.meshgrid(np.arange(n), np.arange(h), np.arange(w), indexing="ij")
-    picked = p.data[ni, ys, hi, wi]
-    clamped = np.maximum(picked, p.dtype.type(LOG_CLAMP))
+    ys = np.where(valid, y, 0)[:, None]  # each pixel's labelled class, on the class axis
+    picked = np.take_along_axis(p.data, ys, axis=1)[:, 0]
+    clamped = np.maximum(picked, dtype.type(LOG_CLAMP))
     loss = -(np.log(clamped) * valid).sum(dtype=np.float64) / n_valid
-    out = Tensor(np.asarray(loss, dtype=p.dtype))
+    out = Tensor(np.asarray(loss, dtype=dtype))
 
     def bwd(g):
-        gp = np.zeros_like(p.data)
+        gp = np.zeros(shape, dtype=dtype)
         coeff = np.where(valid & (picked >= LOG_CLAMP), -1.0 / (clamped * n_valid), 0.0)
-        gp[ni, ys, hi, wi] = (coeff * float(g)).astype(p.dtype)
+        np.put_along_axis(gp, ys, (coeff * float(g)).astype(dtype)[:, None], axis=1)
         return (gp,)
 
     return _record(out, (p,), bwd)

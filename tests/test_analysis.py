@@ -63,6 +63,19 @@ def test_absent_class_excluded():
     assert dict(r.per_class_iou)[3] is None
 
 
+def test_one_byte_labels_give_the_int64_confusion():
+    # with 17 classes the pair index g * 17 + p reaches 288, past a byte
+    rng = np.random.default_rng(17)
+    gt = rng.integers(0, 17, size=(2, 24, 24))
+    pred = rng.integers(0, 17, size=(2, 24, 24))
+    want = segmentation_metrics(pred, gt, 17)
+    np.testing.assert_array_equal(want.confusion, brute_force_metrics(pred, gt, 17)[2])
+    for p in (pred, pred.astype(np.uint8)):
+        got = segmentation_metrics(p, gt.astype(np.uint8), 17)
+        np.testing.assert_array_equal(got.confusion, want.confusion)
+        assert got.miou == want.miou
+
+
 def test_metrics_errors():
     with pytest.raises(ValueError):
         segmentation_metrics([np.zeros((2, 2), int)], [np.full((2, 2), 255)], 3)

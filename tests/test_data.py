@@ -24,8 +24,10 @@ from seqens.data import (
     generate_sample,
     generation_from_checkpoint,
     load_checkpoint,
+    load_split,
     read_sample,
     save_checkpoint,
+    write_manifest,
     write_sample,
 )
 from seqens.nets import BackboneConfig, build_generation, flatten_parameters
@@ -103,6 +105,25 @@ def test_label_roundtrip_exact(tmp_path):
     write_sample(str(tmp_path), 0, s)
     back = read_sample(str(tmp_path), 0)
     np.testing.assert_array_equal(back.label, s.label)
+
+
+def test_labels_are_one_byte_from_generation_through_a_loaded_split(tmp_path):
+    spec = DatasetSpec(count=3, height=12, width=10, seed=4)
+    samples = [generate_sample(spec, i) for i in range(spec.count)]
+    rows = []
+    for i, s in enumerate(samples):
+        assert s.label.dtype == np.uint8
+        ip, lp = write_sample(str(tmp_path), i, s)
+        rows.append((i, "val", os.path.basename(ip), os.path.basename(lp)))
+    write_manifest(str(tmp_path), rows)
+    loaded = load_split(str(tmp_path), "val")
+    for s, back in zip(samples, loaded, strict=True):
+        assert back.label.dtype == np.uint8 and back.label.flags.writeable
+        np.testing.assert_array_equal(back.label, s.label)
+    label = np.array([[0, 3], [255, 1]], dtype=np.uint8)
+    back = decode_pgm(encode_pgm(label))
+    assert back.dtype == np.uint8 and back.flags.writeable
+    np.testing.assert_array_equal(back, label)
 
 
 def test_image_roundtrip_quantization(tmp_path):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,51 @@ def test_adon_gradients_pass_gradcheck():
                 g.adon_blocks[block_key].params[short] = param
 
         assert T.grad_check(f, param, 1e-3) < 1e-3
+
+
+def test_the_tape_keeps_no_array_that_no_backward_reads(monkeypatch):
+    g = build_generation(
+        BackboneConfig(
+            layer_channels=(4, 6, 8),
+            adon_latent=4,
+            conditioning="adon",
+            adon_placements=("early", "middle", "late"),
+        ),
+        seed=3,
+        index=1,
+    )
+    fbias = {id(b.params["fbias.weight"]) for b in g.adon_blocks.values()}
+    watched = {"pre-ReLU conv output": [], "logits": [], "fbias output": []}
+    relu, conv2d, softmax = T.relu, T.conv2d, T.channel_softmax
+
+    def watching_relu(x):
+        watched["pre-ReLU conv output"].append(weakref.ref(x.data))
+        return relu(x)
+
+    def watching_conv2d(x, weight, bias, **kwargs):
+        out = conv2d(x, weight, bias, **kwargs)
+        if id(weight) in fbias:
+            watched["fbias output"].append(weakref.ref(out.data))
+        return out
+
+    def watching_softmax(logits):
+        watched["logits"].append(weakref.ref(logits.data))
+        return softmax(logits)
+
+    monkeypatch.setattr(T, "relu", watching_relu)
+    monkeypatch.setattr(T, "conv2d", watching_conv2d)
+    monkeypatch.setattr(T, "channel_softmax", watching_softmax)
+    labels = np.random.default_rng(6).integers(0, 4, size=(2, 16, 16)).astype(np.uint8)
+    with T.Graph() as graph:
+        probs = T.channel_softmax(forward_logits(g, Tensor(rand_image(n=2)), Tensor(rand_probs(n=2))))
+        loss = T.pixel_cross_entropy(probs, labels, 255)
+    del probs
+    for what, refs in watched.items():
+        assert refs and all(r() is None for r in refs), f"the tape keeps a {what} alive"
+    grads = T.gradients(graph, loss)
+    assert sorted(id(t) for t, _ in grads) == sorted(id(t) for t in g.trainable())
+    for t, gr in grads:
+        assert gr.shape == t.shape and gr.dtype == np.float32 and np.isfinite(gr).all()
 
 
 def test_predict_contracts():

@@ -357,7 +357,7 @@ def test_an_op_on_another_thread_is_not_recorded_on_this_threads_graph():
         other.join(timeout=60)
         assert not other.is_alive() and g.nodes == []
         y = T.relu(x)
-    assert [n.out for n in g.nodes] == [y]
+    assert [n.slot for n in g.nodes] == [y.slot]
 
 
 # ---------------------------------------------------------------------------
