@@ -47,9 +47,7 @@ _KNOWN_KEYS = {
     "train.epochs": int,
     "train.batch_size": int,
     "train.lr0": float,
-    "train.momentum": float,
     "train.weight_decay": float,
-    "train.poly_power": float,
     "train.seed": int,
     "train.warmstart_checkpoint": str,
     "train.flip_prob": float,
@@ -129,9 +127,7 @@ def train_config_from(cfg: dict[str, str]) -> TrainConfig:
     )
     return TrainConfig(
         augment=aug,
-        **_fields(
-            cfg, "train", "epochs batch_size lr0 momentum weight_decay poly_power seed warmstart_checkpoint"
-        ),
+        **_fields(cfg, "train", "epochs batch_size lr0 weight_decay seed warmstart_checkpoint"),
     )
 
 

@@ -8,7 +8,6 @@ import numpy as np
 
 from .nets import Generation, PredictionBundle, predict
 from .tensor import Tensor
-from . import tensor as T
 
 COMBINE_KINDS = ("uniform", "confidence_weighted", "median", "vote")
 
@@ -85,12 +84,6 @@ def combine(maps: list[np.ndarray], strategy: CombineStrategy) -> np.ndarray:
     return out.astype(maps[0].dtype, copy=False)
 
 
-def _bundle_from_probs(probs: np.ndarray) -> PredictionBundle:
-    # combined maps have no native logits; log-probabilities stand in
-    logits = np.log(np.maximum(probs, T.LOG_CLAMP)).astype(probs.dtype)
-    return PredictionBundle(logits=logits, probs=probs)
-
-
 def chain_predict(chain: Chain, image) -> list[PredictionBundle]:
     """Run the conditional chain; optionally re-feed the tail its own output."""
     image = image if isinstance(image, Tensor) else Tensor(np.asarray(image))
@@ -108,10 +101,9 @@ def stage_labels(maps: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.argmax(axis=1) for m in maps], axis=1)
 
 
-def forest_predict(forest: Forest, image) -> PredictionBundle:
-    """The uniform mean of each chain's final map."""
-    finals = [chain_predict(c, image)[-1].probs for c in forest.chains]
-    return _bundle_from_probs(combine(finals, CombineStrategy("uniform")))
+def forest_predict(forest: Forest, image) -> np.ndarray:
+    """The uniform mean of each chain's final probability map."""
+    return combine([chain_predict(c, image)[-1].probs for c in forest.chains], CombineStrategy("uniform"))
 
 
 def chain_provider(prefix: list[Generation], self_loops: int = 0):

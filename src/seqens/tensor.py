@@ -4,8 +4,11 @@ Everything trainable in this package flows through the small op set below:
 conv2d, relu, channel softmax, bilinear resize, affine modulation, channel
 concatenation and per-pixel cross entropy, plus the elementwise glue needed
 to compose them. Gradients are recorded on an explicit :class:`Graph` tape
-and replayed in reverse topological order by :func:`gradients`;
-:func:`backward` adds what it returns into each leaf's `.grad`.
+and replayed in reverse topological order by :func:`gradients`, which hands
+back each leaf's gradient: training passes them to :class:`SgdMomentum` and
+:func:`grad_check` compares them with finite differences. :func:`backward`
+adds them into each leaf's `.grad` instead; it serves the benchmark's
+gradient oracle.
 
 The tape names an op's output by an integer slot and holds a `Tensor` only
 for a leaf; each op's backward function keeps just the arrays it reads, so
@@ -53,14 +56,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -165,9 +160,11 @@ def gradients(graph: Graph, loss: Tensor) -> list[tuple[Tensor, np.ndarray]]:
 
 
 def backward(graph: Graph, loss: Tensor) -> None:
-    """Populate grads of every requires_grad leaf with d(loss)/d(leaf)."""
+    """Add d(loss)/d(leaf) into the `.grad` of every requires_grad leaf, in the leaf's dtype."""
     for t, g in gradients(graph, loss):
-        t.accumulate_grad(g)
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad += g.astype(t.data.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +505,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-3) -> float:
         loss = f(x64)
     if loss.data.size != 1:
         raise ShapeError("grad_check: f must return a scalar")
-    backward(g, loss)
-    g_ad = np.zeros_like(x64.data) if x64.grad is None else x64.grad
+    g_ad = next((gr for t, gr in gradients(g, loss) if t is x64), np.zeros_like(x64.data))
 
     flat = x64.data.ravel()
     g_fd = np.zeros_like(flat)
@@ -556,25 +552,22 @@ class SgdMomentum:
     params: list[Tensor]
     momentum: float = 0.9
     weight_decay: float = 0.0
-    velocity: list[np.ndarray] = field(default_factory=list)
+    velocity: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if not self.velocity:
-            self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self, lr: float):
+    def step(self, lr: float, grads: list[np.ndarray]):
+        """One update from `grads`, one gradient per parameter in `params` order."""
         if lr < 0:
             raise ValueError("lr must be >= 0")
-        for p, v in zip(self.params, self.velocity):
-            g = np.zeros_like(p.data) if p.grad is None else p.grad
+        if len(grads) != len(self.params):  # checked before any parameter moves
+            raise ValueError(f"step needs {len(self.params)} gradients, got {len(grads)}")
+        for p, v, g in zip(self.params, self.velocity, grads):
             v *= p.data.dtype.type(self.momentum)
             v += g
             if self.weight_decay:

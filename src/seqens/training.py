@@ -46,9 +46,7 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 8
     lr0: float = 0.05
-    momentum: float = 0.9
     weight_decay: float = 5e-4
-    poly_power: float = 0.9
     seed: int = 0  # keys data order and augmentation; the weights come with g
     warmstart_checkpoint: Checkpoint | str | None = None  # a Checkpoint or its path
     augment: AugmentConfig = field(default_factory=AugmentConfig)
@@ -135,7 +133,7 @@ def train_generation(
     cfg: TrainConfig,
     condition_provider=None,
 ) -> TrainHistory:
-    """Train `g` in place: SGD+momentum under a polynomial LR schedule.
+    """Train `g` in place: SGD with momentum 0.9 under a power-0.9 polynomial LR schedule.
 
     Deterministic in `g`'s weights and `cfg.seed`. The weights are `g`'s own,
     as `build_generation` made them; a warm start first copies the backbone
@@ -166,9 +164,9 @@ def train_generation(
         np.random.Philox(key=np.array([np.uint64(cfg.seed), np.uint64(0x5E9)], dtype=np.uint64))
     )
     params = g.trainable()
-    opt = SgdMomentum(params, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    opt = SgdMomentum(params, weight_decay=cfg.weight_decay)
     steps_per_epoch = (len(train) + cfg.batch_size - 1) // cfg.batch_size
-    sched = LrSchedule(cfg.lr0, max(1, cfg.epochs * steps_per_epoch), cfg.poly_power)
+    sched = LrSchedule(cfg.lr0, max(1, cfg.epochs * steps_per_epoch))
 
     history = TrainHistory()
     step = 0
@@ -188,16 +186,16 @@ def train_generation(
                 shards = _shard_gradients(g, images, labels, condition_provider)
 
                 lr = poly_lr_at(sched, step)
-                opt.zero_grad()
+                summed = {id(t): np.zeros_like(t.data) for t in params}
                 for _, grads in shards:  # shard by shard, in batch order: the sum has one order
                     for t, gr in grads:
-                        t.accumulate_grad(gr)
+                        summed[id(t)] += gr.astype(t.data.dtype, copy=False)
+                grads = list(summed.values())
                 loss = sum(float(shard_loss.data) for shard_loss, _ in shards)
                 # stop before the update: a NaN/inf step would poison every parameter
-                grads = (t.grad for t in params if t.grad is not None)
                 if not np.isfinite(loss) or not all(np.isfinite(gr).all() for gr in grads):
                     raise NonFiniteError(f"non-finite loss or gradient at training step {step}")
-                opt.step(lr)
+                opt.step(lr, grads)
                 history.step_loss.append(loss)
                 step += 1
             if val:

@@ -612,7 +612,7 @@ def test_criterion_09_forest_monotonicity(capfd, full_task, trend_groups):
     # (inference is bit-identical at any batch size, so the cached batches of 16 compare exactly)
     im = np.stack([s_.image for s_ in val[:16]])
     forest = Forest([g["chain"] for g in trend_groups[:2]])
-    direct = forest_predict(forest, im).probs
+    direct = forest_predict(forest, im)
     cached = combine([np.stack(finals[j][:16]) for j in range(2)], uniform)
     wiring_ok = np.array_equal(direct, cached)
 

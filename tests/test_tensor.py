@@ -424,27 +424,36 @@ def test_grad_check_rejects_bad_eps_and_nonscalar():
 
 def test_sgd_plain_step():
     w = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-    w.grad = np.array([2.0], dtype=np.float32)
     opt = SgdMomentum([w], momentum=0.0, weight_decay=0.0)
-    opt.step(0.1)
+    opt.step(0.1, [np.array([2.0], dtype=np.float32)])
     np.testing.assert_allclose(w.data, [0.8])
 
 
 def test_sgd_zero_lr_updates_velocity_only():
     w = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-    w.grad = np.array([2.0], dtype=np.float32)
     opt = SgdMomentum([w], momentum=0.9)
-    opt.step(0.0)
+    opt.step(0.0, [np.array([2.0], dtype=np.float32)])
     np.testing.assert_allclose(w.data, [1.0])
     np.testing.assert_allclose(opt.velocity[0], [2.0])
 
 
 def test_sgd_fixed_point():
     w = Tensor(np.array([0.7], dtype=np.float32), requires_grad=True)
-    w.grad = np.zeros(1, dtype=np.float32)
     opt = SgdMomentum([w], momentum=0.9, weight_decay=0.0)
-    opt.step(0.5)
+    opt.step(0.5, [np.zeros(1, dtype=np.float32)])
     np.testing.assert_allclose(w.data, [0.7])
+
+
+def test_sgd_step_with_a_gradient_missing_moves_nothing():
+    ws = [Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True) for _ in range(3)]
+    opt = SgdMomentum(ws, momentum=0.9, weight_decay=1e-3)
+    opt.step(0.1, [np.array([0.5, 0.25], dtype=np.float32)] * 3)  # a non-zero velocity to keep
+    before = [(w.data.copy(), v.copy()) for w, v in zip(ws, opt.velocity)]
+    with pytest.raises(ValueError, match="3 gradients, got 2"):
+        opt.step(0.1, [np.ones(2, dtype=np.float32)] * 2)
+    for w, v, (data, vel) in zip(ws, opt.velocity, before):
+        np.testing.assert_array_equal(w.data, data)
+        np.testing.assert_array_equal(v, vel)
 
 
 def test_poly_lr():

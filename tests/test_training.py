@@ -210,6 +210,17 @@ def test_provider_is_frozen_and_required():
         train_generation(g0, [], [], tiny_cfg(seed=5))
 
 
+def test_training_leaves_no_gradient_buffer_on_any_parameter():
+    data = tiny_data(seed=8)
+    g0 = build_generation(SMALL, seed=5)
+    g1 = build_generation(SMALL_ADON, seed=6, index=1)
+    hist = train_generation(g1, data, [], tiny_cfg(epochs=2, seed=6), chain_provider([g0]))
+    assert len(hist.step_loss) == 4
+    # the optimizer takes each step's summed gradients as an argument
+    for g in (g0, g1):
+        assert all(t.grad is None for t in g.parameters.values())
+
+
 def test_training_moves_validation_miou_above_collapse():
     data = generate_dataset(DatasetSpec(count=24, height=32, width=32, seed=9, **EASY))
     g = build_generation(MED2, seed=12)
