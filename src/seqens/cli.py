@@ -20,6 +20,7 @@ from .analysis import (
 from .calibration import CalibrationConfig, temperature_scale, temperature_sweep
 from .data import (
     _batched_probs,
+    _keep_freed_memory,
     _write_atomic,
     _write_csv,
     checkpoint_from_generation,
@@ -360,6 +361,7 @@ def build_parser() -> _Parser:
 
 
 def run(argv: list[str]) -> int:
+    _keep_freed_memory()  # a process policy: set at the entry, not at import
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

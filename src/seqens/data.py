@@ -331,6 +331,28 @@ def _openblas_threads():
     return get, set_
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers, from <malloc.h>
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Have glibc's malloc keep freed blocks in the process; True if it took both values, None without glibc.
+
+    By default every block above 128 KiB (rising to the largest freed so far) is
+    its own mmap, and a free heap top over twice that goes back to the kernel, so
+    each forward faults its conv temporaries in again as fresh zero pages. Either
+    call also turns off glibc's adjustment of both thresholds, so both are set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no mallopt in the process (macOS, Windows)
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    took_mmap = mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's largest on 64-bit
+    took_trim = mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    return took_mmap == took_trim == 1
+
+
 def _split_workers() -> int:
     """How many CPUs a split may use: those this process may run on."""
     if _openblas_threads() is None or not hasattr(os, "sched_getaffinity"):  # not on every OS

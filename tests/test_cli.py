@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 
@@ -480,3 +481,60 @@ def test_runtime_imports_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+ONE_IMAGE_CFG = BASE_CFG.replace("data.count = 12", "data.count = 1").replace("data.val_count = 4", "data.val_count = 0")
+
+# one cli.run, then ten cycles that each allocate and drop three 16 MB arrays;
+# prints the minor page faults of the last nine cycles
+FREED_MEMORY_PROBE = """
+import resource, sys
+import numpy as np
+from seqens.cli import run
+
+assert run(["gen-data", "--spec", sys.argv[1], "--out", sys.argv[2]]) == 0
+
+
+def cycle():
+    arrays = [np.ones(4 << 20, np.float32) for _ in range(3)]
+    del arrays
+
+
+cycle()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(9):
+    cycle()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set through glibc's mallopt")
+def test_memory_freed_after_cli_run_is_reused_without_page_faults(tmp_path):
+    import seqens
+
+    spec = tmp_path / "one.cfg"
+    spec.write_text(ONE_IMAGE_CFG)
+    src = os.path.dirname(os.path.dirname(seqens.__file__))
+    res = subprocess.run(
+        [sys.executable, "-c", FREED_MEMORY_PROBE, str(spec), str(tmp_path / "d")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    # glibc's defaults mmap each block afresh and fault it in again: about 9,600
+    assert int(res.stdout.strip().splitlines()[-1]) < 100
+
+
+def test_cli_runs_without_mallopt(tmp_path, monkeypatch):
+    from seqens import data
+
+    data._openblas_threads()  # cached now, so the failing lookup below cannot reach it
+    monkeypatch.setattr(data.ctypes, "CDLL", lambda name: object())  # a C library with no mallopt
+    data._keep_freed_memory.cache_clear()
+    try:
+        assert data._keep_freed_memory() is None
+        assert run(["reproduce", "--name", "nonexistent", "--out", str(tmp_path)]) == 1
+        spec = tmp_path / "one.cfg"
+        spec.write_text(ONE_IMAGE_CFG)
+        assert run(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
+    finally:
+        data._keep_freed_memory.cache_clear()
