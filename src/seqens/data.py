@@ -361,11 +361,11 @@ def _split_workers() -> int:
 
 
 class _SliceState(threading.local):
-    active = False  # this thread is running a call of a split
+    active = False  # this thread is running a slice of a split
 
 
 _BATCH = 16  # images per batch when a model runs over a split
-_POOL: ThreadPoolExecutor | None = None  # runs every call of a split but the first; built on first use
+_POOL: ThreadPoolExecutor | None = None  # runs every slice of a split batch but the first; built on first use
 _SLICE = _SliceState()
 
 
@@ -399,36 +399,21 @@ def _run_slice(call):
         _SLICE.active = False
 
 
-def _run_split(calls: list) -> list:
-    """The results of the zero-argument `calls`, in order: the first runs on this thread and the rest on
-    the pool, each in a copy of this thread's context, so a caller's `np.errstate` holds in all of them.
-
-    All of them have ended when this returns; an exception from one is re-raised unchanged (the
-    earliest call's, if several raise). On one CPU, or inside a call of another split (whose caller
-    may keep the pool's threads busy), they run one after another on this thread.
-    """
-    global _POOL
-    workers = 1 if _SLICE.active else _split_workers()
-    if workers == 1:
-        return [call() for call in calls]
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="seqens-split")
-    futures = [_POOL.submit(contextvars.copy_context().run, _run_slice, call) for call in calls[1:]]
-    try:
-        first = _run_slice(calls[0])
-    finally:
-        wait(futures)  # no call outlives its split, even when the first one raised
-    return [first] + [f.result() for f in futures]
-
-
 def _batched_probs(fn, dataset) -> np.ndarray:
     """Run `fn` (image batch -> per-image maps) over the split in batches; one array, image on axis 0.
 
     Each batch is cut into one contiguous slice per CPU of the process's
-    affinity set, run by `_run_split` with BLAS on one thread meanwhile. An
-    image's maps do not depend on its batch, so the result is the serial one
-    bit for bit.
+    affinity set, with BLAS on one thread meanwhile. This thread runs the first
+    slice and the pool the rest, each in a copy of this thread's context, so a
+    caller's `np.errstate` holds in all of them. An image's maps do not depend
+    on its batch, so the result is the serial one bit for bit.
+
+    Every slice of a batch has ended before the next batch starts; an exception from
+    one is re-raised unchanged (the earliest slice's, if several raise). On one
+    CPU, or inside a slice of another split (whose caller may keep the pool's
+    threads busy), the batches run whole, one after another, on this thread.
     """
+    global _POOL
     if not dataset:
         raise FormatError("empty split: no samples to run the model over")
     workers = 1 if _SLICE.active else _split_workers()
@@ -438,9 +423,19 @@ def _batched_probs(fn, dataset) -> np.ndarray:
     )
     if workers == 1:
         return np.concatenate([fn(b) for b in batches])
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="seqens-split")
+    maps = []
     with _one_blas_thread():
-        parts = (_run_split([functools.partial(fn, b[s]) for s in _slices(len(b), workers)]) for b in batches)
-        return np.concatenate([m for maps in parts for m in maps])
+        for b in batches:
+            calls = [functools.partial(fn, b[s]) for s in _slices(len(b), workers)]
+            futures = [_POOL.submit(contextvars.copy_context().run, _run_slice, call) for call in calls[1:]]
+            try:
+                maps.append(_run_slice(calls[0]))
+            finally:
+                wait(futures)  # no slice outlives its batch, even when the first one raised
+            maps += [f.result() for f in futures]
+    return np.concatenate(maps)
 
 
 # ---------------------------------------------------------------------------

@@ -106,16 +106,19 @@ def forest_predict(forest: Forest, image) -> np.ndarray:
     return combine([chain_predict(c, image)[-1].probs for c in forest.chains], CombineStrategy("uniform"))
 
 
+@dataclass
+class _ChainProvider:
+    chain: Chain
+
+    def __call__(self, images: np.ndarray) -> np.ndarray:
+        return chain_predict(self.chain, images)[-1].probs
+
+
 def chain_provider(prefix: list[Generation], self_loops: int = 0):
     """Map images to the final probability map of a frozen chain prefix.
 
     This is the map that conditions the next generation. The chain is built
-    and validated here, once: later changes to `prefix` do not reach it.
+    and validated here, once: later changes to `prefix` do not reach it. The
+    provider pickles with its chain, so a training worker process can run it.
     """
-    chain = Chain(list(prefix), self_loops=self_loops)
-
-    def provider(images: np.ndarray) -> np.ndarray:
-        return chain_predict(chain, images)[-1].probs
-
-    return provider
-
+    return _ChainProvider(Chain(list(prefix), self_loops=self_loops))

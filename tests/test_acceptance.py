@@ -156,10 +156,7 @@ def trend_groups(full_task):
         # self-refinement tail: same init as G1 but trained on the chain's own
         # once-refined output, i.e. on the distribution it sees when self-fed
         g1_self = build_generation(FULL_ADON, seed=seed + 2, index=1)
-
-        def self_provider(images, g0=g0, g1=g1_self):
-            return chain_predict(Chain([g0, g1], self_loops=1), images)[-1].probs
-
+        self_provider = chain_provider([g0, g1_self], self_loops=1)  # reads g1_self as it trains
         train_generation(g1_self, train, [], _full_cfg(seed + 2), self_provider)
         self_chain = Chain([g0, g1_self])
         self_bundles = [

@@ -1,11 +1,14 @@
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from seqens import data as D
 from seqens.cli import run
 
 BASE_CFG = """
@@ -319,6 +322,59 @@ def test_reports_and_dumps_match_on_one_cpu_and_on_all(workspace, tmp_path):
         })
     assert len(trees[0]) == 3 + 2 * 4  # three reports, two dumps of 4 maps
     assert trees[0] == trees[1]
+
+
+def _live_children(pid):
+    """Pids of the processes whose parent is `pid`, zombies left out."""
+    kids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as f:
+                state, ppid = f.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):  # gone meanwhile
+            continue
+        if int(ppid) == pid and state != "Z":
+            kids.append(int(entry))
+    return kids
+
+
+def _is_live(pid):
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or D._split_workers() < 2, reason="needs /proc and two CPUs")
+def test_the_training_worker_exits_when_seqens_train_is_killed(workspace, tmp_path):
+    import seqens
+
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(BASE_CFG.replace("train.epochs = 1", "train.epochs = 500"))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqens.__file__)))
+    argv = ["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(tmp_path / "run")]
+    code = "import sys; from seqens.cli import run; sys.exit(run(sys.argv[1:]))"
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not (workers := _live_children(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < deadline, "no worker was forked"
+            time.sleep(0.05)
+        time.sleep(0.5)  # into the training steps
+        assert proc.poll() is None, "training ended before it could be killed"
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while _is_live(workers[0]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _is_live(workers[0])
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_is_live, workers):  # a worker that outlived the check
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_usage_errors_exit_1(workspace, capsys, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,6 +242,17 @@ def test_chain_provider_runs_frozen_prefix():
     cfg = TrainConfig(epochs=1, batch_size=4, seed=2, augment=AugmentConfig(crop=(16, 16)))
     train_generation(build_generation(SMALL_ADON, seed=2, index=1), data[:6], data[6:], cfg, provider)
     np.testing.assert_array_equal(flatten_parameters(g0), before)
+
+
+def test_a_pickled_chain_provider_returns_the_same_bits():
+    g0 = build_generation(SMALL, seed=9)
+    g1 = build_generation(SMALL_ADON, seed=10, index=1)
+    g1.parameters["adon_middle.fbias.weight"].data += 0.1  # break identity
+    img = _image_batch(seed=11)
+    for provider in (chain_provider([g0]), chain_provider([g0, g1], self_loops=2)):
+        copy = pickle.loads(pickle.dumps(provider))
+        assert copy.chain.generations[0] is not g0
+        np.testing.assert_array_equal(copy(img), provider(img))
 
 
 def test_batched_probs_matches_one_whole_split_forward():

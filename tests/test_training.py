@@ -1,10 +1,11 @@
-import threading
+import os
 
 import numpy as np
 import pytest
 
 from seqens import data as D
 from seqens import tensor as T
+from seqens import training as TR
 from seqens.data import DatasetSpec, checkpoint_from_generation, generate_dataset, save_checkpoint
 from seqens.ensembling import chain_provider
 from seqens.nets import (
@@ -320,19 +321,49 @@ def test_training_restores_the_blas_thread_count(monkeypatch):
     assert threads[0] == 4
 
 
-def test_an_error_in_the_pool_shard_propagates_unchanged(monkeypatch):
+class _FailsInTheWorker:
+    """A provider that raises KeyError("shard") in any process but the one that made it."""
+
+    def __init__(self, provider):
+        self.provider, self.pid = provider, os.getpid()
+
+    def __call__(self, images):
+        if os.getpid() != self.pid:
+            raise KeyError("shard")
+        return self.provider(images)
+
+
+def test_an_error_in_the_worker_shard_is_reraised_with_its_type_and_args(monkeypatch):
     monkeypatch.setattr(D, "_split_workers", lambda: 2)
-    caller, boom = threading.current_thread(), KeyError("shard")
-    provider = chain_provider([build_generation(SMALL, seed=5)])
-
-    def failing(images):
-        if threading.current_thread() is not caller:  # the second shard, on the pool
-            raise boom
-        return provider(images)
-
+    provider = _FailsInTheWorker(chain_provider([build_generation(SMALL, seed=5)]))
     g = build_generation(SMALL_ADON, seed=6, index=1)
     before = flatten_parameters(g).copy()
     with pytest.raises(KeyError) as info:
-        train_generation(g, tiny_data(seed=15)[:4], [], tiny_cfg(seed=6), failing)
-    assert info.value is boom
+        train_generation(g, tiny_data(seed=15)[:4], [], tiny_cfg(seed=6), provider)
+    assert type(info.value) is KeyError and info.value.args == ("shard",)
     np.testing.assert_array_equal(flatten_parameters(g), before)
+    # the worker stays in step: the next training runs through it
+    data = tiny_data(seed=15)
+    hist = train_generation(g, data[:4], data[4:], tiny_cfg(seed=6), provider.provider)
+    assert TR._WORKER is not None and len(hist.epoch_val_miou) == 1
+
+
+def test_g0_then_adon_g1_then_a_self_loop_tail_through_one_worker_match_one_cpu(monkeypatch):
+    data = tiny_data(8, seed=16)  # train batches of 4 and 1 (one shard: no worker), a val batch of 3
+    runs, workers = [], []
+    for cpus in (2, 1):
+        monkeypatch.setattr(D, "_split_workers", lambda: cpus)
+        run = []
+        g0 = build_generation(SMALL, seed=17)
+        g1 = build_generation(SMALL_ADON, seed=18, index=1)
+        tail = build_generation(SMALL_ADON, seed=18, index=1)
+        self_loop = chain_provider([g0, tail], self_loops=1)  # reads `tail` as it trains
+        for g, provider in ((g0, None), (g1, chain_provider([g0])), (tail, self_loop)):
+            hist = train_generation(g, data[:5], data[5:], tiny_cfg(epochs=2, seed=19), provider)
+            run.append((flatten_parameters(g).copy(), hist.step_loss, hist.epoch_val_miou))
+            workers.append(TR._WORKER)
+        runs.append(run)
+    assert workers[0] is not None and workers[:3] == [workers[0]] * 3 and workers[0].process.is_alive()
+    for (p2, loss2, miou2), (p1, loss1, miou1) in zip(*runs):
+        np.testing.assert_array_equal(p2, p1)
+        assert loss2 == loss1 and miou2 == miou1 and len(loss1) == 4
