@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import hashlib
 import os
 import sys
@@ -35,9 +36,10 @@ from .data import (
     write_sample,
 )
 from .ensembling import (
-    COMBINE_KINDS, Chain, CombineStrategy, chain_predict, chain_provider, combine, stage_labels,
+    COMBINE_KINDS, Chain, CombineStrategy, _chain_logits, _chain_stage_labels, _logits, _member_stage_labels,
+    _probs, chain_provider, combine,
 )
-from .nets import build_generation, predict
+from .nets import build_generation
 from .training import train_generation
 
 
@@ -180,7 +182,7 @@ def cmd_eval(args) -> int:
             dump_labels(args.dump, labels, num_classes)
     else:
         for i, g in enumerate(gens):
-            labels = _batched_probs(lambda im: predict(g, im).probs, val).argmax(axis=1)
+            labels = _batched_probs(functools.partial(_probs, g), val).argmax(axis=1)
             report = segmentation_metrics(labels, gts, num_classes)
             rows.append(_metrics_row(run_id, "single", i, 1, "none", 1.0, report))
             if args.dump:
@@ -201,7 +203,7 @@ def cmd_ensemble(args) -> int:
     run_id = _run_id(args.ckpt, args.mode)
     # at T = 1 this equals predict().probs bit for bit: scaling by 1.0 is exact
     member_probs = [
-        temperature_scale(_batched_probs(lambda im, g=g: predict(g, im).logits, val), args.temperature)
+        temperature_scale(_batched_probs(functools.partial(_logits, g), val), args.temperature)
         for g in gens
     ]
     labels = combine(member_probs, CombineStrategy(args.strategy)).argmax(axis=1)
@@ -240,8 +242,8 @@ def cmd_calibrate(args) -> int:
     gens = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
 
-    chain = Chain(gens)  # one checkpoint is a chain of one
-    logits = _batched_probs(lambda im: chain_predict(chain, im)[-1].logits, val)
+    # one checkpoint is a chain of one
+    logits = _batched_probs(functools.partial(_chain_logits, Chain(gens)), val)
     report = temperature_sweep(logits, [s.label for s in val], cfg)
     header, rows = _calibration_rows(report, cfg.num_bins)
     _write_csv(args.report, header, rows)
@@ -255,7 +257,7 @@ def cmd_diversity(args) -> int:
     gens = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
     pred_mat = prediction_similarity_matrix(
-        [_batched_probs(lambda im, g=g: predict(g, im).probs, val) for g in gens]
+        [_batched_probs(functools.partial(_probs, g), val) for g in gens]
     )
     param_mat = parameter_similarity_matrix(gens)
     rows = []
@@ -272,13 +274,10 @@ def cmd_fourcase(args) -> int:
     _check_writable(args.report)
     g0, g1 = _load_generations(args.ckpt)
     val = load_split(args.data, "val")
-    chain = Chain([g0, g1]) if g1.config.takes_map else None
-
-    def labels_fn(im):
-        # a chain's first stage is G0's own forward, so G1 reuses the map G0's labels come from
-        bundles = chain_predict(chain, im) if chain else [predict(g, im) for g in (g0, g1)]
-        return stage_labels([b.probs for b in bundles])
-
+    if g1.config.takes_map:  # a chain's first stage is G0's own forward: G1 reuses the map G0's labels come from
+        labels_fn = functools.partial(_chain_stage_labels, Chain([g0, g1]))
+    else:
+        labels_fn = functools.partial(_member_stage_labels, [g0, g1])
     labels = _batched_probs(labels_fn, val)
     table = four_case_table(labels[:, 0], labels[:, 1], [s.label for s in val])
     rows = [

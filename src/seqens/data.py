@@ -8,15 +8,15 @@ and parallelism cannot change the data.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import functools
 import glob
 import math
+import multiprocessing
 import os
+import pickle
+import signal
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,13 +360,8 @@ def _split_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _SliceState(threading.local):
-    active = False  # this thread is running a slice of a split
-
-
 _BATCH = 16  # images per batch when a model runs over a split
-_POOL: ThreadPoolExecutor | None = None  # runs every slice of a split batch but the first; built on first use
-_SLICE = _SliceState()
+_NESTED = False  # this process runs a part of a split (for good in a worker): a split asked for now runs serially
 
 
 @contextlib.contextmanager
@@ -391,50 +386,133 @@ def _slices(n: int, parts: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _run_slice(call):
-    _SLICE.active = True
-    try:
-        return call()
-    finally:
-        _SLICE.active = False
+class _Worker:
+    """A forked daemon process with one duplex pipe. It runs one pickled (fn, args, errstate)
+    request at a time, and each request gets exactly one reply: (ok, value or exception)."""
+
+    def __init__(self):
+        ctx = multiprocessing.get_context("fork")  # safe: the program starts no thread
+        self.conn, child = ctx.Pipe()
+        inherited = [self.conn] + [w.conn for w in _WORKERS]
+        self.process = ctx.Process(target=_serve, args=(child, inherited), name="seqens-split", daemon=True)
+        self.process.start()
+        child.close()
+
+    def send(self, request: bytes) -> None:
+        self._exchange(self.conn.send_bytes, request)
+
+    def reply(self) -> tuple[bool, object]:
+        return self._exchange(self.conn.recv)
+
+    def _exchange(self, io, *args):
+        try:
+            return io(*args)
+        except BaseException as e:  # the worker died, or an interrupt cut the exchange short: drop it
+            self.drop()
+            if isinstance(e, (EOFError, OSError)):
+                raise RuntimeError("a split worker process exited unexpectedly") from e
+            raise
+
+    def drop(self) -> None:
+        _WORKERS.remove(self)
+        self.conn.close()
+        self.process.terminate()
+        self.process.join()
+
+
+_WORKERS: list[_Worker] = []  # _WORKERS[k - 1] runs part k of a split; forked on first use, kept for good
+
+
+def _serve(conn, inherited) -> None:
+    """A worker's loop. It ends when the parent's end of its pipe closes, as it does when the parent
+    exits or is killed; an interrupt is the parent's to handle."""
+    global _NESTED
+    for end in inherited:  # the parent's ends of this and the earlier workers' pipes: else EOF never comes
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _NESTED = True
+    with _one_blas_thread():
+        while True:
+            try:
+                request = conn.recv_bytes()
+            except EOFError:
+                return
+            try:
+                fn, args, err = pickle.loads(request)
+                with np.errstate(**err):  # the caller's
+                    reply = True, fn(*args)
+            except Exception as e:
+                reply = False, e
+            try:
+                conn.send(reply)
+            except (pickle.PicklingError, AttributeError, TypeError):  # an exception that does not pickle
+                conn.send((False, RuntimeError(f"{type(reply[1]).__name__}: {reply[1]}")))
+            except OSError:  # the parent is gone
+                return
+
+
+def _split(fn, parts: list[tuple]) -> list:
+    """[fn(*part) for part in parts]: this process runs part 0 while worker k runs part k, all at once.
+
+    Each worker gets one pickle of (fn, its part, this process's `np.geterr()`),
+    so the caller's error state holds there, and arguments that share an object
+    (a self-loop provider and the generation it reads) share the worker's copy.
+    OpenBLAS is held at one thread while the parts run. Every part has ended
+    before this returns, even when part 0 raised, and the earliest part's
+    exception is re-raised. A worker whose reply cannot be read (it died, or an
+    interrupt came first) is stopped and dropped; the next split forks another.
+    The parts run here, one after another, when there is no CPU for each, when
+    `fn` does not pickle (a closure, say), or inside a part of another split.
+    """
+    global _NESTED
+    if len(parts) == 1:
+        return [fn(*parts[0])]
+    requests = None
+    if not _NESTED and len(parts) <= _split_workers():
+        try:
+            err = np.geterr()
+            requests = [pickle.dumps((fn, part, err), protocol=pickle.HIGHEST_PROTOCOL) for part in parts[1:]]
+        except (pickle.PicklingError, AttributeError, TypeError):
+            pass
+    with _one_blas_thread():
+        if requests is None:
+            return [fn(*part) for part in parts]
+        while len(_WORKERS) < len(requests):
+            _WORKERS.append(_Worker())
+        sent, replies = [], []
+        _NESTED = True
+        try:
+            for w, request in zip(_WORKERS, requests):
+                w.send(request)
+                sent.append(w)
+            own = fn(*parts[0])
+        finally:  # read every reply, even after an error here: each pipe stays in step
+            _NESTED = False
+            try:
+                for w in sent:
+                    replies.append(w.reply())
+            finally:
+                for w in sent[len(replies) + 1 :]:  # left unread after the reply before them raised
+                    w.drop()
+    for ok, value in replies:
+        if not ok:
+            raise value
+    return [own] + [value for _, value in replies]
 
 
 def _batched_probs(fn, dataset) -> np.ndarray:
     """Run `fn` (image batch -> per-image maps) over the split in batches; one array, image on axis 0.
 
     Each batch is cut into one contiguous slice per CPU of the process's
-    affinity set, with BLAS on one thread meanwhile. This thread runs the first
-    slice and the pool the rest, each in a copy of this thread's context, so a
-    caller's `np.errstate` holds in all of them. An image's maps do not depend
-    on its batch, so the result is the serial one bit for bit.
-
-    Every slice of a batch has ended before the next batch starts; an exception from
-    one is re-raised unchanged (the earliest slice's, if several raise). On one
-    CPU, or inside a slice of another split (whose caller may keep the pool's
-    threads busy), the batches run whole, one after another, on this thread.
+    affinity set, and `_split` runs the slices. An image's maps do not depend on
+    its batch, so the result is the serial one bit for bit.
     """
-    global _POOL
     if not dataset:
         raise FormatError("empty split: no samples to run the model over")
-    workers = 1 if _SLICE.active else _split_workers()
-    batches = (
-        np.stack([s.image for s in dataset[start : start + _BATCH]])
-        for start in range(0, len(dataset), _BATCH)
-    )
-    if workers == 1:
-        return np.concatenate([fn(b) for b in batches])
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="seqens-split")
     maps = []
-    with _one_blas_thread():
-        for b in batches:
-            calls = [functools.partial(fn, b[s]) for s in _slices(len(b), workers)]
-            futures = [_POOL.submit(contextvars.copy_context().run, _run_slice, call) for call in calls[1:]]
-            try:
-                maps.append(_run_slice(calls[0]))
-            finally:
-                wait(futures)  # no slice outlives its batch, even when the first one raised
-            maps += [f.result() for f in futures]
+    for start in range(0, len(dataset), _BATCH):
+        batch = np.stack([s.image for s in dataset[start : start + _BATCH]])
+        maps += _split(fn, [(batch[s],) for s in _slices(len(batch), _split_workers())])
     return np.concatenate(maps)
 
 

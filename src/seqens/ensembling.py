@@ -101,6 +101,36 @@ def stage_labels(maps: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.argmax(axis=1) for m in maps], axis=1)
 
 
+# image batch -> per-image maps, for `data._batched_probs`: bound with functools.partial, each
+# pickles by name and so can run in a split worker, as a closure cannot
+
+
+def _probs(g: Generation, images) -> np.ndarray:
+    return predict(g, images).probs
+
+
+def _logits(g: Generation, images) -> np.ndarray:
+    return predict(g, images).logits
+
+
+def _chain_logits(chain: Chain, images) -> np.ndarray:
+    return chain_predict(chain, images)[-1].logits
+
+
+def _chain_stage_labels(chain: Chain, images) -> np.ndarray:
+    return stage_labels([b.probs for b in chain_predict(chain, images)])
+
+
+def _member_stage_labels(members: list[Generation], images) -> np.ndarray:
+    return stage_labels([predict(g, images).probs for g in members])
+
+
+def _sim_stage_labels(members: list[Generation], images) -> np.ndarray:
+    """SIM at N = n combines the first n members' maps; one stage per N."""
+    maps = [predict(g, images).probs for g in members]
+    return stage_labels([combine(maps[:n], CombineStrategy("uniform")) for n in range(1, len(maps) + 1)])
+
+
 def forest_predict(forest: Forest, image) -> np.ndarray:
     """The uniform mean of each chain's final probability map."""
     return combine([chain_predict(c, image)[-1].probs for c in forest.chains], CombineStrategy("uniform"))

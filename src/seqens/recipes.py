@@ -6,6 +6,7 @@ from the same machine state yields byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import os
 
 from .analysis import (
@@ -23,8 +24,8 @@ from .data import (
     fmt,
     generate_dataset,
 )
-from .ensembling import Chain, CombineStrategy, chain_predict, chain_provider, combine, stage_labels
-from .nets import BLOCK_MODES, PLACEMENTS, BackboneConfig, build_generation, predict
+from .ensembling import Chain, _chain_stage_labels, _logits, _probs, _sim_stage_labels, chain_provider
+from .nets import BLOCK_MODES, PLACEMENTS, BackboneConfig, build_generation
 from .training import TrainConfig, train_generation
 
 
@@ -73,15 +74,10 @@ def recipe_seq_vs_sim(out_dir: str):
         train_generation(g, train, [], _train_cfg(seed), chain_provider(chain_gens))
         chain_gens.append(g)
 
-    def sim_labels(im):  # SIM at N = n combines the first n members' maps
-        maps = [predict(g, im).probs for g in members]
-        return stage_labels([combine(maps[:n], CombineStrategy("uniform")) for n in range(1, 5)])
-
     # SEQ at N = n is generation n-1's map: a chain's prediction is its final generation's map
-    chain = Chain(chain_gens)
     labels = {
-        "sim": _batched_probs(sim_labels, val),
-        "seq": _batched_probs(lambda im: stage_labels([b.probs for b in chain_predict(chain, im)]), val),
+        "sim": _batched_probs(functools.partial(_sim_stage_labels, members), val),
+        "seq": _batched_probs(functools.partial(_chain_stage_labels, Chain(chain_gens)), val),
     }
     rows = [[mode, str(n), fmt(_miou(labels[mode][:, n - 1], val))] for n in range(1, 5) for mode in labels]
     _write_csv(os.path.join(out_dir, "seq_vs_sim.csv"), ["mode", "N", "miou"], rows)
@@ -92,7 +88,7 @@ def recipe_ece_sweep(out_dir: str):
     train, val, _ = _task()
     g = _train_g0(train, seed=201)
     cfg = CalibrationConfig(num_bins=10, temperature_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0))
-    logits = _batched_probs(lambda im: predict(g, im).logits, val)
+    logits = _batched_probs(functools.partial(_logits, g), val)
     report = temperature_sweep(logits, [s.label for s in val], cfg)
     rows = [[fmt(t), fmt(e)] for t, e in report.per_temperature_ece]
     rows.append([fmt(report.best_temperature), "best"])
@@ -115,7 +111,7 @@ def recipe_diversity_init(out_dir: str):
     rows = []
     for name, members in (("random", random_members), ("warmstart", warm_members)):
         pred = prediction_similarity_matrix(
-            [_batched_probs(lambda im, g=g: predict(g, im).probs, val) for g in members]
+            [_batched_probs(functools.partial(_probs, g), val) for g in members]
         )
         param = parameter_similarity_matrix(members)
         for i in range(len(members)):

@@ -526,23 +526,26 @@ def grad_check(f, x: Tensor, eps: float = 1e-3) -> float:
 # optimizer and schedule
 
 
+POLY_POWER = 0.9  # exponent of the polynomial LR decay
+MOMENTUM = 0.9  # SGD's velocity decay per step
+
+
 @dataclass
 class LrSchedule:
-    """Polynomial decay: lr(t) = lr0 * (1 - t/total_steps)^power."""
+    """Polynomial decay: lr(t) = lr0 * (1 - t/total_steps)^POLY_POWER."""
 
     lr0: float
     total_steps: int
-    power: float = 0.9
 
     def __post_init__(self):
         # lr0 = 0 is a schedule that never moves the weights
-        if self.lr0 < 0 or self.total_steps <= 0 or self.power <= 0:
-            raise ValueError("LrSchedule needs lr0 >= 0 and positive total_steps and power")
+        if self.lr0 < 0 or self.total_steps <= 0:
+            raise ValueError("LrSchedule needs lr0 >= 0 and positive total_steps")
 
 
 def poly_lr_at(sched: LrSchedule, step: int) -> float:
     step = min(max(step, 0), sched.total_steps)
-    return sched.lr0 * (1.0 - step / sched.total_steps) ** sched.power
+    return sched.lr0 * (1.0 - step / sched.total_steps) ** POLY_POWER
 
 
 @dataclass
@@ -550,13 +553,10 @@ class SgdMomentum:
     """SGD with momentum and decoupled-from-nothing classic weight decay."""
 
     params: list[Tensor]
-    momentum: float = 0.9
     weight_decay: float = 0.0
     velocity: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         self.velocity = [np.zeros_like(p.data) for p in self.params]
@@ -568,7 +568,7 @@ class SgdMomentum:
         if len(grads) != len(self.params):  # checked before any parameter moves
             raise ValueError(f"step needs {len(self.params)} gradients, got {len(grads)}")
         for p, v, g in zip(self.params, self.velocity, grads):
-            v *= p.data.dtype.type(self.momentum)
+            v *= p.data.dtype.type(MOMENTUM)
             v += g
             if self.weight_decay:
                 v += p.data.dtype.type(self.weight_decay) * p.data

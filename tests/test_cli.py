@@ -238,6 +238,7 @@ def test_fourcase_runs_each_generation_once_per_image(workspace, tmp_path, monke
         return real(g, image, *args, **kwargs)
 
     report = tmp_path / "fc.csv"
+    monkeypatch.setattr(D, "_split_workers", lambda: 1)  # the counter sees this process only
     monkeypatch.setattr(nets, "forward_logits", counting)
     args = ["--ckpt", workspace["g0"], "--ckpt", workspace["g1"], "--data", workspace["data"]]
     assert run(["fourcase", *args, "--report", str(report)]) == 0
@@ -346,35 +347,99 @@ def _is_live(pid):
         return False
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc") or D._split_workers() < 2, reason="needs /proc and two CPUs")
-def test_the_training_worker_exits_when_seqens_train_is_killed(workspace, tmp_path):
+def _kill_and_check_workers_exit(code, argv, workers_expected):
+    """Start `python -c code argv`, wait for its forked workers, SIGKILL it, and check they all exit."""
     import seqens
 
-    cfg = tmp_path / "long.cfg"
-    cfg.write_text(BASE_CFG.replace("train.epochs = 1", "train.epochs = 500"))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqens.__file__)))
-    argv = ["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(tmp_path / "run")]
-    code = "import sys; from seqens.cli import run; sys.exit(run(sys.argv[1:]))"
     proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env, stderr=subprocess.DEVNULL)
     workers = []
     try:
         deadline = time.monotonic() + 60
-        while not (workers := _live_children(proc.pid)):
-            assert proc.poll() is None and time.monotonic() < deadline, "no worker was forked"
+        while len(workers := _live_children(proc.pid)) < workers_expected:
+            assert proc.poll() is None and time.monotonic() < deadline, "the workers were not forked"
             time.sleep(0.05)
-        time.sleep(0.5)  # into the training steps
-        assert proc.poll() is None, "training ended before it could be killed"
+        time.sleep(0.5)  # into the splits
+        assert proc.poll() is None, "the run ended before it could be killed"
         proc.send_signal(signal.SIGKILL)
         proc.wait()
         deadline = time.monotonic() + 10
-        while _is_live(workers[0]) and time.monotonic() < deadline:
+        while any(map(_is_live, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not _is_live(workers[0])
+        assert not any(map(_is_live, workers))
     finally:
         proc.kill()
         proc.wait()
         for pid in filter(_is_live, workers):  # a worker that outlived the check
             os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or D._split_workers() < 2, reason="needs /proc and two CPUs")
+def test_the_training_worker_exits_when_seqens_train_is_killed(workspace, tmp_path):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(BASE_CFG.replace("train.epochs = 1", "train.epochs = 500"))
+    argv = ["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(tmp_path / "run")]
+    code = "import sys; from seqens.cli import run; sys.exit(run(sys.argv[1:]))"
+    _kill_and_check_workers_exit(code, argv, 1)
+
+
+EVAL_FOREVER = """
+import sys
+from seqens import data as D
+from seqens.cli import run
+
+D._split_workers = lambda: 3  # each 4-image batch in three slices: two workers
+while run(sys.argv[1:]) == 0:
+    pass
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or D._openblas_threads() is None, reason="needs /proc and OpenBLAS")
+def test_both_split_workers_exit_when_seqens_eval_is_killed(workspace, tmp_path):
+    argv = ["eval", "--chain", "--ckpt", workspace["g0"], "--ckpt", workspace["g1"], "--data", workspace["data"],
+            "--report", str(tmp_path / "r.csv")]
+    _kill_and_check_workers_exit(EVAL_FOREVER, argv, 2)
+
+
+COUNT_THREADS = """
+import multiprocessing, sys, threading
+from seqens import data as D
+from seqens.cli import run
+
+D._split_workers = lambda: 2
+assert run(sys.argv[1:]) == 0
+print(threading.active_count(), len(multiprocessing.active_children()))
+"""
+
+
+def test_eval_on_two_cpus_runs_on_one_thread(workspace, tmp_path):
+    import seqens
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(seqens.__file__)))
+    argv = ["eval", "--ckpt", workspace["g0"], "--data", workspace["data"], "--report", str(tmp_path / "r.csv")]
+    res = subprocess.run([sys.executable, "-c", COUNT_THREADS, *argv], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "1"]  # this thread, and one worker process
+
+
+def test_malformed_training_values_exit_2_naming_the_field(workspace, tmp_path, capsys):
+    out = tmp_path / "run"
+    for line, field in (
+        ("train.batch_size = 0", "batch_size"),
+        ("train.batch_size = -3", "batch_size"),
+        ("train.epochs = -1", "epochs"),
+        ("train.crop_h = -4", "crop"),
+        ("train.crop_w = 0", "crop"),
+        ("train.flip_prob = 2", "flip_prob"),
+        ("train.flip_prob = -0.5", "flip_prob"),
+    ):
+        key = line.split(" = ")[0]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(row + "\n" for row in BASE_CFG.splitlines() if not row.startswith(key + " ")) + line + "\n")
+        assert run(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(out)]) == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err, line
+        assert not out.exists(), line
 
 
 def test_usage_errors_exit_1(workspace, capsys, tmp_path, monkeypatch):

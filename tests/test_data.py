@@ -1,7 +1,6 @@
+import functools
 import os
 import struct
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -30,7 +29,8 @@ from seqens.data import (
     write_manifest,
     write_sample,
 )
-from seqens.nets import BackboneConfig, build_generation, flatten_parameters
+from seqens.ensembling import _probs
+from seqens.nets import BackboneConfig, build_generation, flatten_parameters, predict
 
 
 def test_generation_deterministic():
@@ -348,67 +348,94 @@ def fake_blas(monkeypatch):
     return threads
 
 
-def test_split_batches_come_back_in_image_order_from_several_threads(fake_blas, monkeypatch):
-    seen, blas_inside = set(), set()
-
-    def fn(images):
-        seen.add(threading.get_ident())
-        blas_inside.add(fake_blas[0])
-        return np.array([sum(float(v) for _ in range(200)) for v in images[:, 0, 0, 0]]) / 100
-
-    monkeypatch.setattr(D, "_split_workers", lambda: 7)  # more slices than the pool has threads
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = D._batched_probs(fn, _numbered(37))  # batches of 16, 16 and 5, each cut into slices
-    finally:
-        sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(out, np.arange(37) * 2)
-    assert len(seen) > 1 and threading.get_ident() in seen
-    assert blas_inside == {1} and fake_blas[0] == 4
+# image batch -> per-image rows; module-level, so that each pickles and a slice really runs in a worker
 
 
-def test_an_error_in_a_slice_propagates_unchanged_and_blas_is_restored(fake_blas):
-    boom = KeyError("slice")
+def _index_pid_blas(images):
+    """Twice each image's index, the pid that ran it and the BLAS thread count it ran under."""
+    blas = D._openblas_threads()
+    threads = blas[0]() if blas else 1
+    return np.array([[2 * v, os.getpid(), threads] for v in images[:, 0, 0, 0]])
 
-    def fn(images):
-        if (images[:, 0, 0, 0] == 23).any():  # the second batch's middle slice, on a pool thread
-            raise boom
-        return images[:, 0, 0, 0]
 
+def _fails_at_0_and_13(images):
+    if (images[:, 0, 0, 0] == 13).any():  # the last of three slices, on a worker
+        raise KeyError("slice", 13)
+    if (images[:, 0, 0, 0] == 0).any():  # the first slice, in this process
+        raise ValueError("own slice")
+    return images[:, 0, 0, 0]
+
+
+def _first_pixel(images):
+    return images[:, 0, 0, 0]
+
+
+def _divide_by_zero_at_13(images):
+    v = images[:, 0, 0, 0] - 13  # zero only in the last of three slices, which a worker runs
+    return v / v
+
+
+def _nested_pids(images):
+    """Per image, the pids a split asked for inside this slice ran in, and this slice's own pid."""
+    inner = D._batched_probs(_index_pid_blas, _numbered(5))
+    return np.stack([np.append(inner[:, 1], os.getpid())] * len(images))
+
+
+def test_split_batches_come_back_in_image_order_from_several_workers(fake_blas, monkeypatch):
+    monkeypatch.setattr(D, "_split_workers", lambda: 7)
+    out = D._batched_probs(_index_pid_blas, _numbered(37))  # batches of 16, 16 and 5, each cut into slices
+    np.testing.assert_array_equal(out[:, 0], np.arange(37) * 2)
+    pids = set(out[:, 1].astype(int))
+    assert len(pids) == 7 and os.getpid() in pids
+    assert set(out[:, 2]) == {1} and fake_blas[0] == 4
+
+
+def test_an_error_in_a_slice_propagates_with_its_type_and_args_and_blas_is_restored(fake_blas):
     with pytest.raises(KeyError) as info:
-        D._batched_probs(fn, _numbered(32))
-    assert info.value is boom and fake_blas[0] == 4
+        D._batched_probs(_fails_at_0_and_13, _numbered(16)[1:])
+    assert type(info.value) is KeyError and info.value.args == ("slice", 13) and fake_blas[0] == 4
+    # both the own slice and a worker's raise: the earliest slice's error wins, and the worker's
+    # reply was read all the same, so the next split gets its own replies
+    with pytest.raises(ValueError, match="own slice"):
+        D._batched_probs(_fails_at_0_and_13, _numbered(16))
+    assert fake_blas[0] == 4
+    np.testing.assert_array_equal(D._batched_probs(_first_pixel, _numbered(20)), np.arange(20))
 
 
-def test_slices_on_the_pool_keep_the_callers_error_state(fake_blas):
-    def fn(images):
-        v = images[:, 0, 0, 0] - 13  # zero only in the last of three slices, which a pool thread runs
-        return v / v
-
+def test_slices_in_the_workers_keep_the_callers_error_state(fake_blas):
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        D._batched_probs(fn, _numbered(16))
+        D._batched_probs(_divide_by_zero_at_13, _numbered(16))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(D._batched_probs(_divide_by_zero_at_13, _numbered(16))[13])
 
 
 def test_a_call_from_inside_a_slice_runs_serially(fake_blas):
-    inner, out = _numbered(5), []
+    out = D._batched_probs(_nested_pids, _numbered(16))
+    assert len(set(out[:, -1])) == 3  # the outer slices ran in three processes
+    for row in out:  # each nested split ran all its slices in the process that asked for it
+        assert set(row) == {row[-1]}
 
-    def fn(images):
-        return np.stack([D._batched_probs(lambda im: im[:, 0, 0, 0], inner)] * len(images))
 
-    # a nested split would wait on pool threads busy with its caller's slices
-    caller = threading.Thread(target=lambda: out.append(D._batched_probs(fn, _numbered(16))), daemon=True)
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive()
-    np.testing.assert_array_equal(out[0], np.tile(np.arange(5, dtype=np.float32), (16, 1)))
+def test_a_callable_that_does_not_pickle_runs_in_this_process_with_the_same_bits(fake_blas):
+    g = build_generation(BackboneConfig(layer_channels=(4, 6, 8)), seed=2)
+    images = generate_dataset(DatasetSpec(count=20, height=16, width=16, seed=4))
+    pids = []
+
+    def probs(im):
+        pids.append(os.getpid())
+        return predict(g, im).probs
+
+    closure = D._batched_probs(probs, images)
+    np.testing.assert_array_equal(closure, D._batched_probs(functools.partial(_probs, g), images))
+    assert set(pids) == {os.getpid()} and len(pids) == 3 + 3  # batches of 16 and 4, each in three slices
+    assert fake_blas[0] == 4
 
 
 @pytest.mark.skipif(D._openblas_threads() is None, reason="numpy has no bundled OpenBLAS")
 def test_blas_thread_count_reads_the_same_before_and_after_a_split():
     get, _ = D._openblas_threads()
-    before, inside = get(), set()
-    D._batched_probs(lambda im: (inside.add(get()), im)[1], _numbered(20))
+    before = get()
+    out = D._batched_probs(_index_pid_blas, _numbered(20))
     assert get() == before
     if len(os.sched_getaffinity(0)) > 1:
-        assert inside == {1}
+        assert set(out[:, 2]) == {1} and len(set(out[:, 1])) > 1

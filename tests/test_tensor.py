@@ -424,14 +424,14 @@ def test_grad_check_rejects_bad_eps_and_nonscalar():
 
 def test_sgd_plain_step():
     w = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-    opt = SgdMomentum([w], momentum=0.0, weight_decay=0.0)
-    opt.step(0.1, [np.array([2.0], dtype=np.float32)])
+    opt = SgdMomentum([w], weight_decay=0.0)
+    opt.step(0.1, [np.array([2.0], dtype=np.float32)])  # from zero velocity momentum adds nothing
     np.testing.assert_allclose(w.data, [0.8])
 
 
 def test_sgd_zero_lr_updates_velocity_only():
     w = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-    opt = SgdMomentum([w], momentum=0.9)
+    opt = SgdMomentum([w])
     opt.step(0.0, [np.array([2.0], dtype=np.float32)])
     np.testing.assert_allclose(w.data, [1.0])
     np.testing.assert_allclose(opt.velocity[0], [2.0])
@@ -439,14 +439,14 @@ def test_sgd_zero_lr_updates_velocity_only():
 
 def test_sgd_fixed_point():
     w = Tensor(np.array([0.7], dtype=np.float32), requires_grad=True)
-    opt = SgdMomentum([w], momentum=0.9, weight_decay=0.0)
+    opt = SgdMomentum([w], weight_decay=0.0)
     opt.step(0.5, [np.zeros(1, dtype=np.float32)])
     np.testing.assert_allclose(w.data, [0.7])
 
 
 def test_sgd_step_with_a_gradient_missing_moves_nothing():
     ws = [Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True) for _ in range(3)]
-    opt = SgdMomentum(ws, momentum=0.9, weight_decay=1e-3)
+    opt = SgdMomentum(ws, weight_decay=1e-3)
     opt.step(0.1, [np.array([0.5, 0.25], dtype=np.float32)] * 3)  # a non-zero velocity to keep
     before = [(w.data.copy(), v.copy()) for w, v in zip(ws, opt.velocity)]
     with pytest.raises(ValueError, match="3 gradients, got 2"):
@@ -457,7 +457,7 @@ def test_sgd_step_with_a_gradient_missing_moves_nothing():
 
 
 def test_poly_lr():
-    sched = LrSchedule(lr0=0.01, total_steps=100, power=0.9)
+    sched = LrSchedule(lr0=0.01, total_steps=100)
     assert T.poly_lr_at(sched, 0) == pytest.approx(0.01)
     assert T.poly_lr_at(sched, 100) == 0.0
     assert T.poly_lr_at(sched, 50) == pytest.approx(0.01 * 0.5**0.9)
@@ -466,7 +466,7 @@ def test_poly_lr():
 
 
 def test_poly_lr_monotone():
-    sched = LrSchedule(lr0=0.05, total_steps=37, power=1.7)
+    sched = LrSchedule(lr0=0.05, total_steps=37)
     values = [T.poly_lr_at(sched, t) for t in range(38)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
