@@ -35,10 +35,7 @@ from .data import (
     write_manifest,
     write_sample,
 )
-from .ensembling import (
-    COMBINE_KINDS, Chain, CombineStrategy, _chain_logits, _chain_stage_labels, _logits, _member_stage_labels,
-    _probs, chain_provider, combine,
-)
+from .ensembling import COMBINE_KINDS, Chain, CombineStrategy, _member_stage_labels, chain_provider, combine
 from .nets import build_generation
 from .training import train_generation
 
@@ -129,6 +126,15 @@ def _load_generations(paths: list[str]):
     return [generation_from_checkpoint(load_checkpoint(p)) for p in paths]
 
 
+def _evaluation_inputs(args, dump: str | None = None):
+    """An evaluation command's generations, val split and val labels, once its outputs are known writable."""
+    _check_writable(args.report)
+    _check_writable(dump, is_dir=True)
+    gens = _load_generations(args.ckpt)
+    val = load_split(args.data, "val")
+    return gens, val, [s.label for s in val]
+
+
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config)
     arch = cfgmod.backbone_config_from(cfg)
@@ -164,29 +170,19 @@ def cmd_eval(args) -> int:
         raise UsageError("--self-loops must be >= 0")
     if args.self_loops and not args.chain:
         raise UsageError("--self-loops needs --chain")
-    _check_writable(args.report)
-    _check_writable(args.dump, is_dir=True)
-    gens = _load_generations(args.ckpt)
-    val = load_split(args.data, "val")
+    gens, val, gts = _evaluation_inputs(args, args.dump)
     num_classes = gens[0].config.num_classes
-    gts = [s.label for s in val]
     run_id = _run_id(args.ckpt)
+    mode, strategy = ("seq", "chain") if args.chain else ("single", "none")
     rows = []
-    if args.chain:
-        labels = _batched_probs(chain_provider(gens, args.self_loops), val).argmax(axis=1)
+    # each member is a chain of one; a row names its chain's last generation
+    for i, chain_gens in enumerate([gens] if args.chain else [[g] for g in gens]):
+        labels = _batched_probs(Chain(chain_gens, args.self_loops), val).argmax(axis=1)
         report = segmentation_metrics(labels, gts, num_classes)
-        rows.append(
-            _metrics_row(run_id, "seq", len(gens) - 1, len(gens), "chain", 1.0, report)
-        )
+        n = len(chain_gens)
+        rows.append(_metrics_row(run_id, mode, i + n - 1, n, strategy, 1.0, report))
         if args.dump:
-            dump_labels(args.dump, labels, num_classes)
-    else:
-        for i, g in enumerate(gens):
-            labels = _batched_probs(functools.partial(_probs, g), val).argmax(axis=1)
-            report = segmentation_metrics(labels, gts, num_classes)
-            rows.append(_metrics_row(run_id, "single", i, 1, "none", 1.0, report))
-            if args.dump:
-                dump_labels(os.path.join(args.dump, f"member{i}"), labels, num_classes)
+            dump_labels(args.dump if args.chain else os.path.join(args.dump, f"member{i}"), labels, num_classes)
     _write_csv(args.report, _metrics_header(num_classes), rows)
     return 0
 
@@ -194,18 +190,11 @@ def cmd_eval(args) -> int:
 def cmd_ensemble(args) -> int:
     if not args.temperature > 0:
         raise UsageError("--t must be > 0")
-    _check_writable(args.report)
-    _check_writable(args.dump, is_dir=True)
-    gens = _load_generations(args.ckpt)
-    val = load_split(args.data, "val")
+    gens, val, gts = _evaluation_inputs(args, args.dump)
     num_classes = gens[0].config.num_classes
-    gts = [s.label for s in val]
     run_id = _run_id(args.ckpt, args.mode)
     # at T = 1 this equals predict().probs bit for bit: scaling by 1.0 is exact
-    member_probs = [
-        temperature_scale(_batched_probs(functools.partial(_logits, g), val), args.temperature)
-        for g in gens
-    ]
+    member_probs = [temperature_scale(_batched_probs(Chain([g]).logits, val), args.temperature) for g in gens]
     labels = combine(member_probs, CombineStrategy(args.strategy)).argmax(axis=1)
     report = segmentation_metrics(labels, gts, num_classes)
     rows = [
@@ -238,13 +227,8 @@ def cmd_calibrate(args) -> int:
         cfg = CalibrationConfig(num_bins=args.bins, temperature_grid=grid)
     except ValueError as e:
         raise UsageError(f"--grid/--bins: {e}") from None
-    _check_writable(args.report)
-    gens = _load_generations(args.ckpt)
-    val = load_split(args.data, "val")
-
-    # one checkpoint is a chain of one
-    logits = _batched_probs(functools.partial(_chain_logits, Chain(gens)), val)
-    report = temperature_sweep(logits, [s.label for s in val], cfg)
+    gens, val, gts = _evaluation_inputs(args)
+    report = temperature_sweep(_batched_probs(Chain(gens).logits, val), gts, cfg)
     header, rows = _calibration_rows(report, cfg.num_bins)
     _write_csv(args.report, header, rows)
     return 0
@@ -253,12 +237,8 @@ def cmd_calibrate(args) -> int:
 def cmd_diversity(args) -> int:
     if len(args.ckpt) < 2:
         raise UsageError("diversity needs at least two --ckpt checkpoints")
-    _check_writable(args.report)
-    gens = _load_generations(args.ckpt)
-    val = load_split(args.data, "val")
-    pred_mat = prediction_similarity_matrix(
-        [_batched_probs(functools.partial(_probs, g), val) for g in gens]
-    )
+    gens, val, _ = _evaluation_inputs(args)
+    pred_mat = prediction_similarity_matrix([_batched_probs(Chain([g]), val) for g in gens])
     param_mat = parameter_similarity_matrix(gens)
     rows = []
     for i in range(len(gens)):
@@ -271,15 +251,13 @@ def cmd_diversity(args) -> int:
 def cmd_fourcase(args) -> int:
     if len(args.ckpt) != 2:
         raise UsageError("fourcase needs exactly two --ckpt checkpoints")
-    _check_writable(args.report)
-    g0, g1 = _load_generations(args.ckpt)
-    val = load_split(args.data, "val")
+    (g0, g1), val, gts = _evaluation_inputs(args)
     if g1.config.takes_map:  # a chain's first stage is G0's own forward: G1 reuses the map G0's labels come from
-        labels_fn = functools.partial(_chain_stage_labels, Chain([g0, g1]))
+        labels_fn = Chain([g0, g1]).stage_labels
     else:
         labels_fn = functools.partial(_member_stage_labels, [g0, g1])
     labels = _batched_probs(labels_fn, val)
-    table = four_case_table(labels[:, 0], labels[:, 1], [s.label for s in val])
+    table = four_case_table(labels[:, 0], labels[:, 1], gts)
     rows = [
         [case, str(table.counts[case]), fmt(table.fractions[case])]
         for case in ("both_correct", "g0_only", "g1_only", "both_wrong")

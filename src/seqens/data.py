@@ -59,8 +59,8 @@ class DatasetSpec:
                 raise SpecError(f"unknown shape kind {k!r}")
         if len(self.shape_kinds) > self.num_classes - 1:
             raise SpecError("need a foreground class per shape kind")
-        if self.noise_std < 0:
-            raise SpecError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:  # false for a NaN too
+            raise SpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.count < 0 or self.height < 1 or self.width < 1:
             raise SpecError("invalid dataset dimensions")
 
@@ -503,9 +503,12 @@ def _split(fn, parts: list[tuple]) -> list:
 def _batched_probs(fn, dataset) -> np.ndarray:
     """Run `fn` (image batch -> per-image maps) over the split in batches; one array, image on axis 0.
 
-    Each batch is cut into one contiguous slice per CPU of the process's
-    affinity set, and `_split` runs the slices. An image's maps do not depend on
-    its batch, so the result is the serial one bit for bit.
+    `fn` is an `ensembling.Chain` (a single generation is a chain of one), one
+    of its bound methods, or a function bound to a list of members: each
+    pickles with its models, so the slices can run in the split workers. Each
+    batch is cut into one contiguous slice per CPU of the process's affinity
+    set, and `_split` runs the slices. An image's maps do not depend on its
+    batch, so the result is the serial one bit for bit.
     """
     if not dataset:
         raise FormatError("empty split: no samples to run the model over")

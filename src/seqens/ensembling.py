@@ -23,10 +23,19 @@ class CombineStrategy:
 
 @dataclass
 class Chain:
+    """G0 -> G1 -> ...: each generation takes the image and the previous one's probability map.
+
+    A single generation is `Chain([g])`. Calling a chain, `logits` and
+    `stage_labels` each map an image batch to per-image maps, for
+    `data._batched_probs`. A chain pickles with its generations, and so do its
+    bound methods, so a split worker can run them.
+    """
+
     generations: list[Generation]
     self_loops: int = 0
 
     def __post_init__(self):
+        self.generations = list(self.generations)  # later changes to the caller's list do not reach it
         if not self.generations:
             raise ValueError("chain needs at least one generation")
         if self.self_loops < 0:
@@ -39,6 +48,16 @@ class Chain:
                 raise ValueError(f"generation {i} must be conditioned")
         if self.self_loops and not self.generations[-1].config.takes_map:
             raise ValueError("self-refinement needs a conditioned tail generation")
+
+    def __call__(self, images) -> np.ndarray:
+        """The final probability map: the chain's prediction, and the map that conditions the next generation."""
+        return chain_predict(self, images)[-1].probs
+
+    def logits(self, images) -> np.ndarray:
+        return chain_predict(self, images)[-1].logits
+
+    def stage_labels(self, images) -> np.ndarray:
+        return stage_labels([b.probs for b in chain_predict(self, images)])
 
 
 @dataclass
@@ -101,24 +120,8 @@ def stage_labels(maps: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.argmax(axis=1) for m in maps], axis=1)
 
 
-# image batch -> per-image maps, for `data._batched_probs`: bound with functools.partial, each
+# a list of members -> per-image maps, for `data._batched_probs`: bound with functools.partial, each
 # pickles by name and so can run in a split worker, as a closure cannot
-
-
-def _probs(g: Generation, images) -> np.ndarray:
-    return predict(g, images).probs
-
-
-def _logits(g: Generation, images) -> np.ndarray:
-    return predict(g, images).logits
-
-
-def _chain_logits(chain: Chain, images) -> np.ndarray:
-    return chain_predict(chain, images)[-1].logits
-
-
-def _chain_stage_labels(chain: Chain, images) -> np.ndarray:
-    return stage_labels([b.probs for b in chain_predict(chain, images)])
 
 
 def _member_stage_labels(members: list[Generation], images) -> np.ndarray:
@@ -133,22 +136,14 @@ def _sim_stage_labels(members: list[Generation], images) -> np.ndarray:
 
 def forest_predict(forest: Forest, image) -> np.ndarray:
     """The uniform mean of each chain's final probability map."""
-    return combine([chain_predict(c, image)[-1].probs for c in forest.chains], CombineStrategy("uniform"))
+    return combine([c(image) for c in forest.chains], CombineStrategy("uniform"))
 
 
-@dataclass
-class _ChainProvider:
-    chain: Chain
+def chain_provider(prefix: list[Generation], self_loops: int = 0) -> Chain:
+    """The frozen chain prefix whose final probability map conditions the next generation.
 
-    def __call__(self, images: np.ndarray) -> np.ndarray:
-        return chain_predict(self.chain, images)[-1].probs
-
-
-def chain_provider(prefix: list[Generation], self_loops: int = 0):
-    """Map images to the final probability map of a frozen chain prefix.
-
-    This is the map that conditions the next generation. The chain is built
-    and validated here, once: later changes to `prefix` do not reach it. The
-    provider pickles with its chain, so a training worker process can run it.
+    The chain is built and validated here, once: later changes to `prefix` do
+    not reach it. It pickles with its generations, so a training worker process
+    can run it.
     """
-    return _ChainProvider(Chain(list(prefix), self_loops=self_loops))
+    return Chain(prefix, self_loops=self_loops)

@@ -45,6 +45,8 @@ class BackboneConfig:
             raise ConfigError("adon_latent must be >= 1")
         if len(self.layer_channels) != 3:
             raise ConfigError("layer_channels must list exactly 3 widths")
+        if min(self.layer_channels) < 1:
+            raise ConfigError(f"layer_channels must each be >= 1, got {self.layer_channels}")
         self.adon_placements = tuple(self.adon_placements)
         for p in self.adon_placements:
             if p not in PLACEMENTS:

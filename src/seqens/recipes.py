@@ -24,7 +24,7 @@ from .data import (
     fmt,
     generate_dataset,
 )
-from .ensembling import Chain, _chain_stage_labels, _logits, _probs, _sim_stage_labels, chain_provider
+from .ensembling import Chain, _sim_stage_labels, chain_provider
 from .nets import BLOCK_MODES, PLACEMENTS, BackboneConfig, build_generation
 from .training import TrainConfig, train_generation
 
@@ -77,7 +77,7 @@ def recipe_seq_vs_sim(out_dir: str):
     # SEQ at N = n is generation n-1's map: a chain's prediction is its final generation's map
     labels = {
         "sim": _batched_probs(functools.partial(_sim_stage_labels, members), val),
-        "seq": _batched_probs(functools.partial(_chain_stage_labels, Chain(chain_gens)), val),
+        "seq": _batched_probs(Chain(chain_gens).stage_labels, val),
     }
     rows = [[mode, str(n), fmt(_miou(labels[mode][:, n - 1], val))] for n in range(1, 5) for mode in labels]
     _write_csv(os.path.join(out_dir, "seq_vs_sim.csv"), ["mode", "N", "miou"], rows)
@@ -88,8 +88,7 @@ def recipe_ece_sweep(out_dir: str):
     train, val, _ = _task()
     g = _train_g0(train, seed=201)
     cfg = CalibrationConfig(num_bins=10, temperature_grid=(0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0))
-    logits = _batched_probs(functools.partial(_logits, g), val)
-    report = temperature_sweep(logits, [s.label for s in val], cfg)
+    report = temperature_sweep(_batched_probs(Chain([g]).logits, val), [s.label for s in val], cfg)
     rows = [[fmt(t), fmt(e)] for t, e in report.per_temperature_ece]
     rows.append([fmt(report.best_temperature), "best"])
     _write_csv(os.path.join(out_dir, "ece_sweep.csv"), ["T", "ece"], rows)
@@ -110,9 +109,7 @@ def recipe_diversity_init(out_dir: str):
 
     rows = []
     for name, members in (("random", random_members), ("warmstart", warm_members)):
-        pred = prediction_similarity_matrix(
-            [_batched_probs(functools.partial(_probs, g), val) for g in members]
-        )
+        pred = prediction_similarity_matrix([_batched_probs(Chain([g]), val) for g in members])
         param = parameter_similarity_matrix(members)
         for i in range(len(members)):
             for j in range(len(members)):

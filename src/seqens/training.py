@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ _SHARDS = 2  # every training batch is cut into this many, whatever the CPU coun
 
 
 class NonFiniteError(ValueError):
-    """A training step produced a non-finite loss or gradient."""
+    """A training step produced a non-finite loss, gradient or parameter."""
 
 
 @dataclass
@@ -37,8 +38,8 @@ class AugmentConfig:
 
     def __post_init__(self):
         lo, hi = self.resize_range
-        if lo > hi or lo <= 0:
-            raise ValueError("resize_range must satisfy 0 < low <= high")
+        if not 0 < lo <= hi < math.inf:  # false for a NaN too
+            raise ValueError(f"resize_range must satisfy 0 < low <= high < inf, got {self.resize_range}")
         if min(self.crop) < 1:
             raise ValueError(f"crop must be at least 1x1, got {self.crop}")
         if not 0 <= self.flip_prob <= 1:
@@ -60,6 +61,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("lr0", "weight_decay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -217,5 +221,8 @@ def train_generation(
                 step += 1
             if val:
                 history.epoch_val_miou.append(evaluate_miou(g, val, condition_provider))
+    # the guard above reads each update's result at the next step: the last update has none
+    if not all(np.isfinite(t.data).all() for t in params):
+        raise NonFiniteError(f"non-finite parameter after {step} training steps")
     history.final_lr = lr
     return history

@@ -432,6 +432,13 @@ def test_malformed_training_values_exit_2_naming_the_field(workspace, tmp_path, 
         ("train.crop_w = 0", "crop"),
         ("train.flip_prob = 2", "flip_prob"),
         ("train.flip_prob = -0.5", "flip_prob"),
+        ("train.lr0 = nan", "lr0"),
+        ("train.lr0 = inf", "lr0"),
+        ("train.weight_decay = nan", "weight_decay"),
+        ("train.weight_decay = inf", "weight_decay"),
+        ("train.resize_lo = nan", "resize_range"),
+        ("train.resize_hi = inf", "resize_range"),
+        ("arch.layer_channels = 0,4,4", "layer_channels"),
     ):
         key = line.split(" = ")[0]
         cfg = tmp_path / "bad.cfg"
@@ -549,15 +556,20 @@ def test_gen_data_rejects_val_count_outside_count(tmp_path, capsys, val_count):
 
 
 def test_non_finite_training_exits_2_and_saves_nothing(workspace, tmp_path, capsys):
-    cfg = tmp_path / "diverge.cfg"
-    cfg.write_text(BASE_CFG.replace("train.epochs = 1", "train.epochs = 4") + "train.lr0 = 1e6\n")
     out = tmp_path / "diverged"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(out)])
-    assert code == 2
-    assert "non-finite" in capsys.readouterr().err
-    assert not os.path.exists(out / "generation.ckpt")
-    assert not os.path.exists(out / "history.csv")
+    for old, new in (
+        ("train.epochs = 1", "train.epochs = 4\ntrain.lr0 = 1e6"),
+        # one step, whose update overflows float32: no later step sees it
+        ("train.batch_size = 4", "train.batch_size = 8\ntrain.lr0 = 1e300"),
+    ):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(BASE_CFG.replace(old, new))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["train", "--config", str(cfg), "--data", workspace["data"], "--out", str(out)])
+        assert code == 2, new
+        assert "non-finite" in capsys.readouterr().err, new
+        assert not os.path.exists(out / "generation.ckpt"), new
+        assert not os.path.exists(out / "history.csv"), new
 
 
 def test_repeated_condition_trains_the_next_generation_of_a_chain(workspace, tmp_path, capsys):

@@ -1,4 +1,5 @@
-import functools
+import ctypes
+import glob
 import os
 import struct
 
@@ -29,7 +30,7 @@ from seqens.data import (
     write_manifest,
     write_sample,
 )
-from seqens.ensembling import _probs
+from seqens.ensembling import Chain
 from seqens.nets import BackboneConfig, build_generation, flatten_parameters, predict
 
 
@@ -91,8 +92,9 @@ def test_spec_validation():
         DatasetSpec(num_classes=1)
     with pytest.raises(SpecError):
         DatasetSpec(num_classes=2, shape_kinds=("rectangle", "disk"))
-    with pytest.raises(SpecError):
-        DatasetSpec(noise_std=-0.1)
+    for noise_std in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(SpecError, match="noise_std"):
+            DatasetSpec(noise_std=noise_std)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +343,17 @@ def _numbered(n):
 
 @pytest.fixture
 def fake_blas(monkeypatch):
-    """A stand-in BLAS thread setting, and a split into three slices whatever the machine."""
+    """A stand-in BLAS thread setting, and a split into three slices whatever the machine.
+
+    A worker forked meanwhile would keep the stand-in for good: each is dropped at the end.
+    """
     threads = [4]
     monkeypatch.setattr(D, "_openblas_threads", lambda: (lambda: threads[0], lambda k: threads.__setitem__(0, k)))
     monkeypatch.setattr(D, "_split_workers", lambda: 3)
-    return threads
+    before = list(D._WORKERS)
+    yield threads
+    for w in [w for w in D._WORKERS if w not in before]:
+        w.drop()
 
 
 # image batch -> per-image rows; module-level, so that each pickles and a slice really runs in a worker
@@ -355,6 +363,14 @@ def _index_pid_blas(images):
     """Twice each image's index, the pid that ran it and the BLAS thread count it ran under."""
     blas = D._openblas_threads()
     threads = blas[0]() if blas else 1
+    return np.array([[2 * v, os.getpid(), threads] for v in images[:, 0, 0, 0]])
+
+
+def _index_pid_real_blas(images):
+    """As `_index_pid_blas`, with the count of numpy's bundled OpenBLAS looked up here, not through
+    `D._openblas_threads`: a worker forked under a test's stand-in for that would still report it."""
+    lib = ctypes.CDLL(glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*"))[0])
+    threads = lib.scipy_openblas_get_num_threads64_()
     return np.array([[2 * v, os.getpid(), threads] for v in images[:, 0, 0, 0]])
 
 
@@ -426,7 +442,7 @@ def test_a_callable_that_does_not_pickle_runs_in_this_process_with_the_same_bits
         return predict(g, im).probs
 
     closure = D._batched_probs(probs, images)
-    np.testing.assert_array_equal(closure, D._batched_probs(functools.partial(_probs, g), images))
+    np.testing.assert_array_equal(closure, D._batched_probs(Chain([g]), images))
     assert set(pids) == {os.getpid()} and len(pids) == 3 + 3  # batches of 16 and 4, each in three slices
     assert fake_blas[0] == 4
 
@@ -435,7 +451,7 @@ def test_a_callable_that_does_not_pickle_runs_in_this_process_with_the_same_bits
 def test_blas_thread_count_reads_the_same_before_and_after_a_split():
     get, _ = D._openblas_threads()
     before = get()
-    out = D._batched_probs(_index_pid_blas, _numbered(20))
+    out = D._batched_probs(_index_pid_real_blas, _numbered(20))
     assert get() == before
     if len(os.sched_getaffinity(0)) > 1:
         assert set(out[:, 2]) == {1} and len(set(out[:, 1])) > 1

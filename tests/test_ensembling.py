@@ -167,6 +167,10 @@ def test_chain_validation():
         Chain([g0, g0])  # unconditioned non-head
     with pytest.raises(ValueError):
         Chain([g0, g1], self_loops=-1)
+    gens = [g0]
+    chain = Chain(gens)
+    gens.append(g1)  # the chain keeps the generations it was built with
+    assert len(chain.generations) == 1 and chain.generations[0] is g0
     with pytest.raises(ValueError):
         Forest([])
     other = build_generation(BackboneConfig(layer_channels=(4, 6, 8), num_classes=3), seed=2)
@@ -249,10 +253,11 @@ def test_a_pickled_chain_provider_returns_the_same_bits():
     g1 = build_generation(SMALL_ADON, seed=10, index=1)
     g1.parameters["adon_middle.fbias.weight"].data += 0.1  # break identity
     img = _image_batch(seed=11)
-    for provider in (chain_provider([g0]), chain_provider([g0, g1], self_loops=2)):
-        copy = pickle.loads(pickle.dumps(provider))
-        assert copy.chain.generations[0] is not g0
-        np.testing.assert_array_equal(copy(img), provider(img))
+    for chain in (chain_provider([g0]), chain_provider([g0, g1], self_loops=2)):
+        for fn in (chain, chain.logits, chain.stage_labels):
+            copy = pickle.loads(pickle.dumps(fn))
+            assert getattr(copy, "__self__", copy).generations[0] is not g0
+            np.testing.assert_array_equal(copy(img), fn(img))
 
 
 def test_batched_probs_matches_one_whole_split_forward():
@@ -262,8 +267,13 @@ def test_batched_probs_matches_one_whole_split_forward():
     g0 = build_generation(SMALL, seed=7)
     g1 = build_generation(SMALL_ADON, seed=8, index=1)
     g1.parameters["adon_middle.fbias.weight"].data += 0.1
-    for fn in (lambda im: predict(g0, im).probs, chain_provider([g0, g1])):
+    for fn, shape in (
+        (lambda im: predict(g0, im).probs, (21, 4, 16, 16)),
+        (chain_provider([g0, g1]), (21, 4, 16, 16)),
+        (Chain([g0]).logits, (21, 4, 16, 16)),
+        (Chain([g0, g1]).stage_labels, (21, 2, 16, 16)),
+    ):
         batched = _batched_probs(fn, data)
-        assert batched.shape == (21, 4, 16, 16)
+        assert batched.shape == shape
         np.testing.assert_array_equal(batched, fn(images))
 
